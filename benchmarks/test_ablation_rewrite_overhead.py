@@ -10,10 +10,11 @@ canonical rewrite vs. each optimization pass.
 
 The connections use the workload's default optimization level, so
 ``REPRO_BENCH_LEVEL`` sweeps the whole ablation across Table-6 levels.  On
-the engine backend the execution side is additionally measured in *both*
-execution modes (vectorized batch kernels vs. the row-at-a-time oracle), so
-one ``--benchmark-json`` report separates compile cost from execution cost
-per mode.
+the engine backend the execution side is additionally measured with *both*
+kernel compilers (batch kernels vs. the row-at-a-time oracle,
+:class:`~repro.engine.vector.RowOracleCompiler`), so one
+``--benchmark-json`` report separates compile cost from execution cost per
+mode.
 """
 
 import time
@@ -21,6 +22,7 @@ import time
 import pytest
 
 from repro.bench.workload import WorkloadConfig, load_workload
+from repro.engine import RowOracleCompiler
 from repro.mth.queries import query_text
 
 QUERY_IDS = (1, 3, 6, 22)
@@ -95,21 +97,21 @@ def test_compile_vs_execute_both_modes(benchmark, workload, query_id):
     compile_seconds = time.perf_counter() - start
     rewritten = connection.rewrite(text)
 
-    was_enabled = database.vector.enabled
+    database.kernel_compiler = RowOracleCompiler
+    database.executor.invalidate()  # SQL-UDF body plans hold kernels
     try:
-        database.set_vectorize(False)
         workload.reset_caches()
         start = time.perf_counter()
         row_result = workload.backend.execute(rewritten)
         row_seconds = time.perf_counter() - start
-
-        database.set_vectorize(True)
-        workload.reset_caches()
-        vector_result = benchmark.pedantic(
-            lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
-        )
     finally:
-        database.set_vectorize(was_enabled)
+        del database.kernel_compiler  # back to the class default
+        database.executor.invalidate()
+
+    workload.reset_caches()
+    vector_result = benchmark.pedantic(
+        lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
+    )
 
     assert vector_result.rows == row_result.rows
     benchmark.extra_info["level"] = compiled.level.value

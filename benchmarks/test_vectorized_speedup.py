@@ -4,8 +4,10 @@ The engine's hot path runs typed-column kernels (``repro.engine.columns`` +
 the specialized paths in ``repro.engine.vector``); below them sit the
 generic object-list batch kernels (``REPRO_ENGINE_TYPED=0``), and below
 those the row-at-a-time interpreter kept as the bit-identical differential
-oracle (``REPRO_ENGINE_VECTORIZE=0``).  This ablation times the *same*
-rewritten statement in all three modes on the same loaded engine database
+oracle (:class:`~repro.engine.vector.RowOracleCompiler`, the same operator
+pipeline with every expression interpreted per row).  This ablation times
+the *same* rewritten statement in all three modes on the same loaded engine
+database
 and attaches both ratios to ``extra_info`` — scan-heavy aggregations
 (Q1/Q6-class) are where the batch kernels pay off most, so those are the
 measured mix.
@@ -22,6 +24,7 @@ import pytest
 
 from conftest import record_benchmark
 from repro.bench.workload import WorkloadConfig, load_workload
+from repro.engine import RowOracleCompiler
 from repro.mth.queries import query_text
 
 #: scan-dominated aggregation queries, where vectorization matters most
@@ -59,18 +62,21 @@ def test_vectorized_speedup(benchmark, workload, query_id):
     connection = workload.connection(client=1, dataset="all")
     rewritten = connection.rewrite(query_text(query_id))
 
-    was_enabled = database.vector.enabled
     was_typed = database.vector.typed
 
     def _measure():
         workload.reset_caches()
         return _best_of(lambda: workload.backend.execute(rewritten))
 
+    database.kernel_compiler = RowOracleCompiler
+    database.executor.invalidate()  # SQL-UDF body plans hold kernels
     try:
-        database.set_vectorize(False)
         row_seconds, row_result = _measure()
+    finally:
+        del database.kernel_compiler  # back to the class default
+        database.executor.invalidate()
 
-        database.set_vectorize(True)
+    try:
         database.set_typed(False)
         generic_seconds, generic_result = _measure()
 
@@ -81,7 +87,6 @@ def test_vectorized_speedup(benchmark, workload, query_id):
             lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
         )
     finally:
-        database.set_vectorize(was_enabled)
         database.set_typed(was_typed)
 
     assert typed_result.rows == generic_result.rows == row_result.rows

@@ -10,7 +10,7 @@ scatter-gather:
   (single-shard fast path, UNION row stream, partial-aggregate
   re-aggregation, federated fallback),
 * :mod:`repro.cluster.merge`       — partial-aggregate merging and the
-  coordinator-side expression evaluator,
+  coordinator-side residual compiler,
 * :mod:`repro.cluster.coordinator` — scatter the per-shard queries, gather
   and merge the results.
 
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from .coordinator import ShardCoordinator
 from .merge import (
-    BatchMergeEvaluator,
-    MergeEvaluator,
+    MergeCompiler,
     PartialAggregateState,
     distinct_rows,
     merge_partial_rows,
@@ -43,13 +42,12 @@ from .planner import (
 )
 
 __all__ = [
-    "BatchMergeEvaluator",
     "ClusterCatalog",
     "ClusterPlanner",
     "ExplicitPlacement",
     "FederatedPlan",
     "HashPlacement",
-    "MergeEvaluator",
+    "MergeCompiler",
     "PartialAggregatePlan",
     "PartialAggregateState",
     "PartitionInfo",

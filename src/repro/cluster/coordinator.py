@@ -9,7 +9,10 @@ Given a :mod:`plan <repro.cluster.planner>` the coordinator
 * **merges**: plain concatenation for row streams, group-wise
   partial-aggregate re-aggregation for aggregate queries, then re-applies
   ``HAVING``, ``ORDER BY``, ``DISTINCT`` and ``LIMIT`` exactly as the engine
-  would have on a single backend.
+  would have on a single backend.  Post-merge residual expressions compile
+  once per statement into the engine's batch kernels
+  (:class:`~repro.cluster.merge.MergeCompiler`) and evaluate over all merged
+  groups at once.
 
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
@@ -22,39 +25,24 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional, Sequence, Union
 
-from ..engine.config import VectorConfig
+from ..engine.vector import RowBatch
 from ..result import QueryResult
 from ..sql import ast
 from ..sql.printer import to_sql
-from .merge import (
-    BatchMergeEvaluator,
-    MergeEvaluator,
-    distinct_rows,
-    merge_partial_rows,
-    sort_rows,
-)
+from .merge import MergeCompiler, distinct_rows, merge_partial_rows, sort_rows
 from .planner import PartialAggregatePlan, RowStreamPlan, SingleShardPlan
 
 
 class ShardCoordinator:
-    """Executes single-shard and scatter-gather plans over shard connections.
-
-    ``vector`` selects the merge-side evaluation mode: when enabled (the
-    default, following ``REPRO_ENGINE_VECTORIZE``), post-merge residual
-    expressions are compiled once per statement into batch kernels and
-    evaluated over all merged groups at once; when disabled the per-group
-    :class:`~repro.cluster.merge.MergeEvaluator` row oracle runs instead.
-    """
+    """Executes single-shard and scatter-gather plans over shard connections."""
 
     def __init__(
         self,
         shards: Sequence[Any],
         functions: Optional[dict[str, Any]] = None,
-        vector: Optional[VectorConfig] = None,
     ) -> None:
         self._shards = list(shards)
         self._functions = functions if functions is not None else {}
-        self._vector = vector if vector is not None else VectorConfig.from_env()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
@@ -146,14 +134,9 @@ class ShardCoordinator:
             for item in statement.items
         ]
         order_specs = [(order.expr, order.descending) for order in statement.order_by]
-        if self._vector.enabled and groups:
-            merged_rows = self._merge_groups_batch(
-                split, statement, groups, aliases_by_position, order_specs, parameters
-            )
-        else:
-            merged_rows = self._merge_groups_rowwise(
-                split, statement, groups, aliases_by_position, order_specs, parameters
-            )
+        merged_rows = self._merge_groups(
+            split, statement, groups, aliases_by_position, order_specs, parameters
+        )
 
         if statement.distinct:
             merged_rows = distinct_rows(merged_rows, key=lambda entry: entry[0])
@@ -174,7 +157,7 @@ class ShardCoordinator:
         columns = [_output_name(item) for item in statement.items]
         return QueryResult(columns=columns, rows=rows)
 
-    def _merge_groups_rowwise(
+    def _merge_groups(
         self,
         split: Any,
         statement: ast.Select,
@@ -183,61 +166,26 @@ class ShardCoordinator:
         order_specs: list[tuple[ast.Expression, bool]],
         parameters: Optional[Sequence[Any]],
     ) -> list[tuple[tuple, tuple]]:
-        """Per-group residual evaluation (the ``REPRO_ENGINE_VECTORIZE=0``
-        oracle): one fresh :class:`MergeEvaluator` pair per merged group."""
-        merged_rows: list[tuple[tuple, tuple]] = []  # (visible row, sort keys)
-        for key, states in groups.items():
-            bindings: dict[str, Any] = dict(zip(split.key_texts, key))
-            for state in states:
-                bindings[state.spec.text] = state.result()
-            evaluator = MergeEvaluator(
-                bindings, functions=self._functions, parameters=parameters
-            )
-            values = tuple(evaluator.evaluate(item.expr) for item in statement.items)
-            aliases = {
-                alias: value
-                for alias, value in zip(aliases_by_position, values)
-                if alias is not None
-            }
-            final = MergeEvaluator(
-                bindings, aliases, functions=self._functions, parameters=parameters
-            )
-            if statement.having is not None and final.evaluate(statement.having) is not True:
-                continue
-            sort_values = tuple(final.evaluate(expr) for expr, _ in order_specs)
-            merged_rows.append((values, sort_values))
-        return merged_rows
-
-    def _merge_groups_batch(
-        self,
-        split: Any,
-        statement: ast.Select,
-        groups: dict[tuple, list],
-        aliases_by_position: list[Optional[str]],
-        order_specs: list[tuple[ast.Expression, bool]],
-        parameters: Optional[Sequence[Any]],
-    ) -> list[tuple[tuple, tuple]]:
-        """Vectorized residual evaluation over all merged groups at once.
+        """Residual evaluation over all merged groups at once.
 
         Each residual expression compiles once per statement; the merged
         groups form a single batch whose rows are ``group key + merged
         aggregate values`` (plus the computed alias columns for ``HAVING``
-        and ``ORDER BY``).  The stage order mirrors row mode exactly:
-        SELECT items first (without alias visibility), then the ``HAVING``
-        filter, and only then the sort keys — so groups the filter drops
-        never see the ORDER BY expressions, in either mode.
+        and ``ORDER BY``).  The stage order follows the engine's: SELECT
+        items first (without alias visibility), then the ``HAVING`` filter,
+        and only then the sort keys — so groups the filter drops never see
+        the ORDER BY expressions.  Zero groups make an empty batch, over
+        which every kernel returns an empty column.
         """
-        from ..engine.vector import RowBatch
-
         binding_texts = list(split.key_texts) + [spec.text for spec in split.partials]
         group_rows = [
             key + tuple(state.result() for state in states)
             for key, states in groups.items()
         ]
-        item_evaluator = BatchMergeEvaluator(
+        item_compiler = MergeCompiler(
             binding_texts, functions=self._functions, parameters=parameters
         )
-        item_kernels = [item_evaluator.compile(item.expr) for item in statement.items]
+        item_kernels = [item_compiler.compile(item.expr) for item in statement.items]
         batch = RowBatch(group_rows)
         value_columns = [kernel(batch, ()) for kernel in item_kernels]
         values_rows = list(zip(*value_columns))
@@ -248,7 +196,7 @@ class ShardCoordinator:
             if alias is not None
         ]
         alias_names = [aliases_by_position[position] for position in alias_positions]
-        final_evaluator = BatchMergeEvaluator(
+        final_compiler = MergeCompiler(
             binding_texts,
             alias_names,
             functions=self._functions,
@@ -259,7 +207,7 @@ class ShardCoordinator:
             for row, values in zip(group_rows, values_rows)
         ]
         if statement.having is not None:
-            having_kernel = final_evaluator.compile(statement.having)
+            having_kernel = final_compiler.compile(statement.having)
             mask = having_kernel(RowBatch(extended_rows), ())
             kept = [index for index, flag in enumerate(mask) if flag is True]
             if len(kept) != len(extended_rows):
@@ -267,7 +215,7 @@ class ShardCoordinator:
                 values_rows = [values_rows[index] for index in kept]
         if order_specs and extended_rows:
             order_kernels = [
-                final_evaluator.compile(expr) for expr, _ in order_specs
+                final_compiler.compile(expr) for expr, _ in order_specs
             ]
             final_batch = RowBatch(extended_rows)
             sort_columns = [kernel(final_batch, ()) for kernel in order_kernels]

@@ -8,17 +8,13 @@ turns them back into the single-backend answer:
   ``MAX`` keep the extremum, ``AVG`` divides total ``SUM`` by total
   ``COUNT``), preserving SQL NULL semantics (``SUM`` of an all-NULL group is
   NULL, ``AVG`` of an empty group is NULL),
-* :class:`MergeEvaluator` — evaluate the query's final SELECT list,
-  ``HAVING`` and ``ORDER BY`` expressions over the merged values, mirroring
-  the engine's SQL semantics (three-valued logic, NULL propagation, division
-  by zero) via the shared :func:`repro.sql.types.sql_equal` /
-  :func:`~repro.sql.types.sql_compare` helpers,
-* :class:`BatchMergeEvaluator` — the vectorized counterpart: residual
+* :class:`MergeCompiler` — evaluate the query's final SELECT list,
+  ``HAVING`` and ``ORDER BY`` expressions over the merged values: residual
   expressions are rewritten against the merged binding/alias columns and
   compiled *once per statement* into the engine's batch kernels
   (:class:`repro.engine.vector.BatchExpressionCompiler`), then evaluated
-  over all merged groups in one pass instead of re-walking the AST (and
-  re-printing every node through ``to_sql``) once per group,
+  over all merged groups in one pass with the engine's own SQL semantics
+  (three-valued logic, NULL propagation, division by zero),
 * :func:`sort_rows` — the engine's ``ORDER BY`` algorithm (stable per-key
   sorts over :func:`repro.sql.types.sort_key`) on gathered rows.
 """
@@ -28,11 +24,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Iterable, Optional, Sequence
 
+from ..engine.expressions import Scope
+from ..engine.vector import BatchExpressionCompiler
 from ..errors import ExecutionError
 from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import PartialAggregate
-from ..sql.types import Date, sort_key, sql_compare, sql_equal
+from ..sql.types import sort_key
 
 # ---------------------------------------------------------------------------
 # Partial-aggregate states
@@ -133,203 +131,52 @@ def default_scalar_functions() -> dict[str, Any]:
     return dict(BUILTIN_SCALARS)
 
 
-class MergeEvaluator:
-    """Evaluates residual expressions over merged group/aggregate bindings.
+class _RefusedResidual(Exception):
+    """Internal: a residual subtree cannot bind to the merged columns.
 
-    ``bindings`` maps the printed form of an expression (a group-key text or
-    an aggregate-call text) to its merged value; ``aliases`` maps output
-    aliases to already-computed SELECT-item values, which is how ``HAVING``
-    and ``ORDER BY`` reference the projection; ``functions`` maps scalar
-    function names to Python callables (builtins plus registered Python
-    UDFs).  Only the node types the planner's evaluability check admits are
-    implemented.
+    Raised during residual rewriting for constructs outside the node types
+    the cluster planner's evaluability check admits, unbound parameters,
+    unregistered functions and unknown columns.  ``message`` is the
+    :class:`~repro.errors.ExecutionError` text the compiled kernel raises
+    once it is given a group to evaluate.
     """
 
-    def __init__(
-        self,
-        bindings: dict[str, Any],
-        aliases: Optional[dict[str, Any]] = None,
-        functions: Optional[dict[str, Any]] = None,
-        parameters: Optional[Sequence[Any]] = None,
-    ) -> None:
-        self.bindings = bindings
-        self.aliases = aliases or {}
-        self.functions = functions if functions is not None else {}
-        self.parameters = tuple(parameters) if parameters is not None else None
-
-    def evaluate(self, expr: ast.Expression) -> Any:
-        """Evaluate one expression tree to a Python value."""
-        bound = self.bindings.get(to_sql(expr), _MISSING)
-        if bound is not _MISSING:
-            return bound
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Parameter):
-            if self.parameters is None or not 1 <= expr.index <= len(self.parameters):
-                raise ExecutionError(
-                    f"merge evaluator has no value for parameter {to_sql(expr)}"
-                )
-            return self.parameters[expr.index - 1]
-        if isinstance(expr, ast.Column):
-            if expr.table is None and expr.name.lower() in self.aliases:
-                return self.aliases[expr.name.lower()]
-            raise ExecutionError(f"unbound merge column {to_sql(expr)!r}")
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
-        if isinstance(expr, ast.UnaryOp):
-            return self._unary(expr)
-        if isinstance(expr, ast.Case):
-            return self._case(expr)
-        if isinstance(expr, ast.IsNull):
-            null = self.evaluate(expr.expr) is None
-            return not null if expr.negated else null
-        if isinstance(expr, ast.Between):
-            return self._between(expr)
-        if isinstance(expr, ast.InList):
-            return self._in_list(expr)
-        if isinstance(expr, ast.FunctionCall):
-            fn = self.functions.get(expr.name.lower())
-            if fn is not None:
-                return fn(*(self.evaluate(argument) for argument in expr.args))
-        raise ExecutionError(
-            f"merge evaluator cannot evaluate {type(expr).__name__}: {to_sql(expr)}"
-        )
-
-    # -- operators (mirroring repro.engine.expressions) ----------------------
-
-    def _binary(self, expr: ast.BinaryOp) -> Any:
-        operator = expr.op.upper()
-        if operator == "AND":
-            left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if operator == "OR":
-            left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-        if operator == "=":
-            return sql_equal(left, right)
-        if operator == "<>":
-            equal = sql_equal(left, right)
-            return None if equal is None else not equal
-        if operator in ("<", "<=", ">", ">="):
-            ordering = sql_compare(left, right)
-            if ordering is None:
-                return None
-            return {
-                "<": ordering < 0,
-                "<=": ordering <= 0,
-                ">": ordering > 0,
-                ">=": ordering >= 0,
-            }[operator]
-        if left is None or right is None:
-            return None
-        if operator in ("+", "-", "*", "/") and (
-            isinstance(left, Date) or isinstance(right, Date)
-        ):
-            # mirror the engine's date ± interval semantics (an ORDER BY key
-            # like ``d + INTERVAL '1' MONTH`` is planner-evaluable)
-            from ..engine.expressions import _date_arithmetic
-
-            return _date_arithmetic(left, right, operator)
-        if operator == "+":
-            return left + right
-        if operator == "-":
-            return left - right
-        if operator == "*":
-            return left * right
-        if operator == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left / right
-        if operator == "%":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left % right
-        if operator == "||":
-            return f"{left}{right}"
-        raise ExecutionError(f"merge evaluator cannot apply operator {expr.op!r}")
-
-    def _unary(self, expr: ast.UnaryOp) -> Any:
-        value = self.evaluate(expr.operand)
-        if expr.op.upper() == "NOT":
-            return None if value is None else not value
-        if expr.op == "-":
-            return None if value is None else -value
-        raise ExecutionError(f"merge evaluator cannot apply operator {expr.op!r}")
-
-    def _case(self, expr: ast.Case) -> Any:
-        for when in expr.whens:
-            if self.evaluate(when.condition) is True:
-                return self.evaluate(when.result)
-        if expr.else_result is not None:
-            return self.evaluate(expr.else_result)
-        return None
-
-    def _between(self, expr: ast.Between) -> Optional[bool]:
-        value = self.evaluate(expr.expr)
-        low, high = self.evaluate(expr.low), self.evaluate(expr.high)
-        if value is None or low is None or high is None:
-            return None
-        result = sql_compare(value, low) >= 0 and sql_compare(value, high) <= 0
-        return not result if expr.negated else result
-
-    def _in_list(self, expr: ast.InList) -> Optional[bool]:
-        value = self.evaluate(expr.expr)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expr.items:
-            candidate = self.evaluate(item)
-            if candidate is None:
-                saw_null = True
-                continue
-            if sql_equal(value, candidate) is True:
-                return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
 
 
-_MISSING = object()
+def _raising_kernel(message: str):
+    """A kernel that refuses every non-empty batch with ``message``.
 
-
-# ---------------------------------------------------------------------------
-# Vectorized final-expression evaluation
-# ---------------------------------------------------------------------------
-
-
-class _UnsupportedResidual(Exception):
-    """Internal: the expression must go through the row-mode evaluator.
-
-    Raised during residual rewriting for constructs the batch path cannot
-    (or, for error-message parity, must not) compile: node types outside
-    :class:`MergeEvaluator`'s whitelist, unbound parameters, unregistered
-    functions and unknown columns.  The fallback kernel re-raises the
-    canonical row-mode error at evaluation time, so both modes fail
-    identically.
+    An empty batch (no merged group survived) evaluates to an empty column,
+    so a statement whose residual is never needed does not fail.
     """
+
+    def kernel(batch, outers) -> list:
+        if batch.n:
+            raise ExecutionError(message)
+        return []
+
+    return kernel
 
 
 class _BatchFunctionContext:
-    """The minimal execution-context surface merge-side batch kernels need.
+    """The minimal execution-context surface merge-side kernels need.
 
-    The engine's :class:`~repro.engine.vector.BatchExpressionCompiler`
-    dispatches scalar calls through ``context.batch_call_function``; on the
-    coordinator the registry holds plain Python callables (builtins plus
-    registered Python UDFs), applied positionally with no memoization —
-    exactly what :meth:`MergeEvaluator.evaluate` does per group.
+    Batch kernels dispatch scalar calls through ``batch_call_function``, the
+    row interpreter (:class:`~repro.engine.vector.RowOracleCompiler`)
+    through ``call_function``; on the coordinator the registry holds plain
+    Python callables (builtins plus registered Python UDFs), applied
+    positionally with no memoization.
     """
 
     def __init__(self, functions: dict[str, Any]) -> None:
         self._functions = functions
+
+    def call_function(self, name: str, args: list) -> Any:
+        """Apply one scalar function to one row's argument values."""
+        return self._functions[name.lower()](*args)
 
     def batch_call_function(self, name: str, columns: list, n: int) -> list:
         """Apply one scalar function over argument columns of length ``n``."""
@@ -339,25 +186,29 @@ class _BatchFunctionContext:
         return [fn(*values) for values in zip(*columns)]
 
 
-class BatchMergeEvaluator:
+class MergeCompiler:
     """Compiles residual expressions into batch kernels over merged groups.
 
-    The vectorized counterpart of :class:`MergeEvaluator`: instead of binding
-    a fresh evaluator per group and re-walking (and re-printing) the AST for
-    every group, the coordinator compiles each SELECT-item / ``HAVING`` /
-    ``ORDER BY`` expression *once per statement*.  Compilation rewrites the
-    tree bottom-up — any subtree whose printed form matches a binding text
-    becomes a synthetic column reference, alias references become alias
-    columns, parameters are pre-bound to literals — and hands the result to
+    The coordinator compiles each SELECT-item / ``HAVING`` / ``ORDER BY``
+    expression *once per statement*.  Compilation rewrites the tree
+    bottom-up — any subtree whose printed form matches a binding text (a
+    group-key text or an aggregate-call text) becomes a synthetic column
+    reference, alias references become alias columns, parameters are
+    pre-bound to literals — and hands the result to :attr:`kernel_compiler`,
     the engine's :class:`~repro.engine.vector.BatchExpressionCompiler`, so
     the kernels (NULL semantics, comparison coercion, CASE short-circuiting)
-    are the very ones the engine itself executes.
+    are the very ones the engine itself executes.  A residual the rewrite
+    refuses compiles to a kernel raising :class:`~repro.errors.ExecutionError`
+    for any non-empty batch.
 
     A kernel's batch rows are ``binding values + alias values`` in the
-    constructor's order; alias columns exist only on evaluators constructed
-    with ``alias_names`` (the items-evaluator omits them, mirroring row
-    mode where SELECT items cannot see their own aliases).
+    constructor's order; alias columns exist only on compilers constructed
+    with ``alias_names`` (the items-compiler omits them: SELECT items cannot
+    see their own aliases).
     """
+
+    #: compiles the rewritten residual trees into batch kernels
+    kernel_compiler = BatchExpressionCompiler
 
     def __init__(
         self,
@@ -366,8 +217,6 @@ class BatchMergeEvaluator:
         functions: Optional[dict[str, Any]] = None,
         parameters: Optional[Sequence[Any]] = None,
     ) -> None:
-        from ..engine.vector import BatchExpressionCompiler
-
         self.binding_texts = list(binding_texts)
         self.alias_names = [name.lower() for name in alias_names]
         self.functions = functions if functions is not None else {}
@@ -382,10 +231,8 @@ class BatchMergeEvaluator:
         self._names = [f"#m{index}" for index in range(base)] + [
             f"#a{offset}" for offset in range(len(self.alias_names))
         ]
-        from ..engine.expressions import Scope
-
         scope = Scope([(None, name) for name in self._names])
-        self._compiler = BatchExpressionCompiler(
+        self._compiler = self.kernel_compiler(
             scope, _BatchFunctionContext(self.functions)
         )
 
@@ -393,49 +240,20 @@ class BatchMergeEvaluator:
         """Compile one residual expression into ``kernel(batch, ()) -> column``."""
         try:
             rewritten = self._rewrite(expr)
-        except _UnsupportedResidual:
-            return self._rowwise(expr)
+        except _RefusedResidual as refused:
+            return _raising_kernel(refused.message)
         return self._compiler.compile(rewritten)
-
-    # -- fallback ------------------------------------------------------------
-
-    def _rowwise(self, expr: ast.Expression):
-        """Per-group evaluation through :class:`MergeEvaluator`.
-
-        Reached only for residuals the rewrite refused (see
-        :class:`_UnsupportedResidual`); keeps error behaviour and messages
-        identical to row mode.
-        """
-        texts = self.binding_texts
-        width = len(texts)
-        alias_names = self.alias_names
-        functions = self.functions
-        parameters = self.parameters
-
-        def kernel(batch, outers) -> list:
-            out = []
-            for row in batch.rows:
-                evaluator = MergeEvaluator(
-                    dict(zip(texts, row)),
-                    dict(zip(alias_names, row[width:])),
-                    functions=functions,
-                    parameters=parameters,
-                )
-                out.append(evaluator.evaluate(expr))
-            return out
-
-        return kernel
 
     # -- residual rewriting --------------------------------------------------
 
     def _rewrite(self, expr: ast.Expression) -> ast.Expression:
         """Rewrite a residual tree against the synthetic merge columns.
 
-        Mirrors :meth:`MergeEvaluator.evaluate`'s resolution order: the
-        binding texts win over everything (an aggregate-call subtree inside a
-        larger expression resolves as a whole), then literals / pre-bound
-        parameters / alias columns, then the structural node types of the
-        row evaluator's whitelist.  Anything else is a row-mode fallback.
+        Resolution order: the binding texts win over everything (an
+        aggregate-call subtree inside a larger expression resolves as a
+        whole), then literals / pre-bound parameters / alias columns, then
+        the structural node types the cluster planner admits.  Anything
+        else raises :class:`_RefusedResidual`.
         """
         slot = self._slots.get(to_sql(expr))
         if slot is not None:
@@ -444,14 +262,16 @@ class BatchMergeEvaluator:
             return expr
         if isinstance(expr, ast.Parameter):
             if self.parameters is None or not 1 <= expr.index <= len(self.parameters):
-                raise _UnsupportedResidual
+                raise _RefusedResidual(
+                    f"merge evaluator has no value for parameter {to_sql(expr)}"
+                )
             return ast.Literal(value=self.parameters[expr.index - 1])
         if isinstance(expr, ast.Column):
             if expr.table is None:
                 alias_slot = self._alias_slots.get(expr.name.lower())
                 if alias_slot is not None:
                     return ast.Column(name=self._names[alias_slot])
-            raise _UnsupportedResidual
+            raise _RefusedResidual(f"unbound merge column {to_sql(expr)!r}")
         if isinstance(expr, ast.BinaryOp):
             return dataclasses.replace(
                 expr, left=self._rewrite(expr.left), right=self._rewrite(expr.right)
@@ -488,13 +308,14 @@ class BatchMergeEvaluator:
                 expr=self._rewrite(expr.expr),
                 items=tuple(self._rewrite(item) for item in expr.items),
             )
-        if isinstance(expr, ast.FunctionCall):
-            if expr.is_aggregate or self.functions.get(expr.name.lower()) is None:
-                raise _UnsupportedResidual
-            return dataclasses.replace(
-                expr, args=tuple(self._rewrite(argument) for argument in expr.args)
-            )
-        raise _UnsupportedResidual
+        if isinstance(expr, ast.FunctionCall) and not expr.is_aggregate:
+            if self.functions.get(expr.name.lower()) is not None:
+                return dataclasses.replace(
+                    expr, args=tuple(self._rewrite(argument) for argument in expr.args)
+                )
+        raise _RefusedResidual(
+            f"merge evaluator cannot evaluate {type(expr).__name__}: {to_sql(expr)}"
+        )
 
 
 # ---------------------------------------------------------------------------

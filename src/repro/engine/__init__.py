@@ -13,12 +13,13 @@ from .config import DEFAULT_BATCH_SIZE, VectorConfig
 from .executor import ExecutionStats, QueryResult
 from .functions import PythonFunction, SQLFunction
 from .storage import ColumnSchema, Table, TableSchema
-from .vector import BatchExpressionCompiler, RowBatch
+from .vector import BatchExpressionCompiler, RowBatch, RowOracleCompiler
 
 __all__ = [
     "BatchExpressionCompiler",
     "DEFAULT_BATCH_SIZE",
     "RowBatch",
+    "RowOracleCompiler",
     "VectorConfig",
     "Catalog",
     "Database",

@@ -1,36 +1,33 @@
-"""Engine execution configuration: the vectorization knobs.
+"""Engine execution configuration: the batch-executor knobs.
 
-The engine can evaluate expressions in two modes:
-
-* **vectorized** (the default) — expression trees are compiled once per plan
-  into *batch kernels* operating on column arrays; scans, filters, joins,
-  projections and aggregation process :class:`~repro.engine.vector.RowBatch`
-  windows of ``batch_size`` rows at a time,
-* **row-at-a-time** — the original per-row closure interpreter, kept as the
-  differential oracle (``REPRO_ENGINE_VECTORIZE=0``).
+The engine runs one operator pipeline: expression trees are compiled once
+per plan into *batch kernels* operating on column arrays, and scans,
+filters, joins, projections and aggregation process
+:class:`~repro.engine.vector.RowBatch` windows of ``batch_size`` rows at a
+time.  The row-at-a-time interpreter is not a mode of this pipeline but a
+kernel compiler (:class:`~repro.engine.vector.RowOracleCompiler`) that the
+differential tests select per database.
 
 Deployments configure through environment variables with the same strictness
 as the ``REPRO_SERVER_*`` / ``REPRO_BENCH_*`` families: a malformed value
 raises :class:`~repro.errors.ConfigurationError` instead of being silently
 replaced by a default, because a typo in a batch size must not quietly run
-the engine in the wrong mode.
+the engine in the wrong configuration.
 
 +----------------------------+---------------------------------------------+
 | variable                   | meaning                                     |
 +============================+=============================================+
-| ``REPRO_ENGINE_VECTORIZE`` | ``1`` = batch kernels (default), ``0`` =    |
-|                            | row-at-a-time oracle                        |
 | ``REPRO_ENGINE_BATCH``     | rows per batch (default 1024, minimum 1)    |
 +----------------------------+---------------------------------------------+
 | ``REPRO_ENGINE_TYPED``     | ``1`` = typed-column kernel specialization  |
 |                            | (default), ``0`` = generic kernels only     |
 +----------------------------+---------------------------------------------+
 
-``REPRO_ENGINE_TYPED`` only matters in vectorized mode: it gates whether
-batch kernels may specialize over :class:`~repro.engine.columns.TypedColumn`
-payloads where a base-table column is provably type-stable.  With the knob
-off the engine runs exactly the generic object-list kernels, which is the
-middle leg of the three-way differential {typed, generic-vectorized, row}.
+``REPRO_ENGINE_TYPED`` gates whether batch kernels may specialize over
+:class:`~repro.engine.columns.TypedColumn` payloads where a base-table
+column is provably type-stable.  With the knob off the engine runs exactly
+the generic object-list kernels, which is the middle leg of the differential
+{typed, generic, row oracle}.
 """
 
 from __future__ import annotations
@@ -41,26 +38,6 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError
 
 DEFAULT_BATCH_SIZE = 1024
-
-
-def env_vectorize(default: bool = True) -> bool:
-    """Execution-mode override via ``REPRO_ENGINE_VECTORIZE`` (``0`` or ``1``).
-
-    Anything other than the two literal flags is a configuration error — a
-    differential run that silently fell back to the default mode would
-    compare an engine against itself.
-    """
-    value = os.environ.get("REPRO_ENGINE_VECTORIZE", "").strip()
-    if not value:
-        return default
-    if value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ConfigurationError(
-        f"the REPRO_ENGINE_VECTORIZE environment variable must be '0' or '1' "
-        f"(got {value!r})"
-    )
 
 
 def env_batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
@@ -86,9 +63,9 @@ def env_batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
 def env_typed(default: bool = True) -> bool:
     """Typed-kernel override via ``REPRO_ENGINE_TYPED`` (``0`` or ``1``).
 
-    Same strictness as ``REPRO_ENGINE_VECTORIZE``: a differential leg that
-    silently fell back to the default would compare an engine against
-    itself.
+    Anything other than the two literal flags is a configuration error — a
+    differential leg that silently fell back to the default would compare
+    an engine against itself.
     """
     value = os.environ.get("REPRO_ENGINE_TYPED", "").strip()
     if not value:
@@ -105,9 +82,8 @@ def env_typed(default: bool = True) -> bool:
 
 @dataclass(frozen=True)
 class VectorConfig:
-    """The engine's execution-mode tunables (see the module docstring)."""
+    """The batch executor's tunables (see the module docstring)."""
 
-    enabled: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     typed: bool = True
 
@@ -119,7 +95,6 @@ class VectorConfig:
         escape hatch for tests and embedded engines).
         """
         values = {
-            "enabled": env_vectorize(),
             "batch_size": env_batch_size(),
             "typed": env_typed(),
         }

@@ -34,6 +34,7 @@ from .ddl import (
 from .dml import execute_delete, execute_insert, execute_update
 from .executor import ExecutionStats, Executor, QueryResult, RowStream
 from .functions import PythonFunction, SQLFunction
+from .vector import BatchExpressionCompiler
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,16 @@ PROFILES = {
 class Database:
     """An in-memory SQL database executing the ``repro`` SQL dialect.
 
-    Expression evaluation runs in one of two modes (chosen per statement
-    preparation from :attr:`vector`): vectorized batch kernels — the default
-    — or the row-at-a-time closure interpreter kept as the differential
-    oracle.  ``REPRO_ENGINE_VECTORIZE`` / ``REPRO_ENGINE_BATCH`` configure
-    the mode process-wide; :meth:`set_vectorize` flips it per database.
+    Statements run through one batch operator pipeline configured by
+    :attr:`vector` (``REPRO_ENGINE_BATCH`` / ``REPRO_ENGINE_TYPED``).  The
+    pipeline's expressions compile through :attr:`kernel_compiler`; a test
+    assigns :class:`~repro.engine.vector.RowOracleCompiler` (or a fake) to
+    one instance, before it prepares statements, to evaluate every
+    expression through the row interpreter instead.
     """
+
+    #: compiles every plan expression into a batch kernel
+    kernel_compiler = BatchExpressionCompiler
 
     def __init__(
         self,
@@ -273,7 +278,7 @@ class Database:
     def set_cost(self, enabled: bool) -> None:
         """Switch cost-based planning on or off for this database.
 
-        Like :meth:`set_vectorize`, the switch takes effect on the next
+        Like :meth:`set_typed`, the switch takes effect on the next
         statement preparation; cached SQL-UDF body plans are dropped.
         """
         self.cost = CostConfig(
@@ -282,30 +287,14 @@ class Database:
         )
         self.executor.invalidate()
 
-    def set_vectorize(self, enabled: bool, batch_size: Optional[int] = None) -> None:
-        """Switch the execution mode (and optionally the batch size).
-
-        Plans are prepared per statement execution, so the switch takes
-        effect on the next statement; the cached SQL-UDF body plans are
-        dropped because they were compiled for the previous mode.
-        """
-        self.vector = VectorConfig(
-            enabled=enabled,
-            batch_size=batch_size if batch_size is not None else self.vector.batch_size,
-            typed=self.vector.typed,
-        )
-        self.executor.invalidate()
-
     def set_typed(self, enabled: bool) -> None:
         """Switch typed-column kernel specialization on or off.
 
-        Only observable in vectorized mode (see
-        :mod:`repro.engine.config`); like :meth:`set_vectorize` it takes
-        effect on the next statement preparation and drops cached SQL-UDF
-        body plans, which embedded the previous setting in their kernels.
+        See :mod:`repro.engine.config`.  The switch takes effect on the next
+        statement preparation and drops cached SQL-UDF body plans, which
+        embedded the previous setting in their kernels.
         """
         self.vector = VectorConfig(
-            enabled=self.vector.enabled,
             batch_size=self.vector.batch_size,
             typed=enabled,
         )

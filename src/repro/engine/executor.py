@@ -1,10 +1,11 @@
 """Query executor: prepared SELECT plans, aggregation, ordering, sub-queries.
 
 :class:`Executor` prepares a :class:`PreparedSelect` per statement execution.
-Preparation compiles every expression to a closure (see
-:mod:`repro.engine.expressions`) and plans the joins (see
-:mod:`repro.engine.planner`); running a prepared plan is then a tight loop
-over row tuples.  Prepared plans for uncorrelated sub-queries cache their
+Preparation compiles every expression to a batch kernel through the
+database's kernel compiler (see :mod:`repro.engine.vector`) and plans the
+joins (see :mod:`repro.engine.planner`); running a prepared plan then moves
+:class:`~repro.engine.vector.RowBatch` windows through one operator
+pipeline.  Prepared plans for uncorrelated sub-queries cache their
 result so that ``x IN (SELECT ...)`` style predicates cost one execution per
 statement, not one per row.
 """
@@ -22,19 +23,10 @@ from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import transform_expression
 from ..sql.types import sort_key
-from .expressions import (
-    CompiledExpr,
-    ExpressionCompiler,
-    Scope,
-    find_aggregates,
-)
+from .expressions import Scope, find_aggregates
 from .functions import BUILTIN_SCALARS, CountAggregate, Function, make_aggregate
-from .planner import EmptyPipeline, JoinPipeline, Planner
-from .vector import (
-    BatchExpressionCompiler,
-    RowBatch,
-    apply_batch_predicates,
-)
+from .planner import Planner
+from .vector import RowBatch, apply_batch_predicates
 
 
 @dataclass
@@ -76,13 +68,14 @@ class ExecutionContext:
         ``(args)`` keys of a batch are deduplicated, the shared memo in
         :meth:`repro.engine.functions.Function.invoke` is hit once per
         distinct key, and results scatter to every occurrence.  Counters
-        stay identical to row-at-a-time execution — each duplicate
-        occurrence is still one call that hit the cache, accounted in bulk
+        stay identical to row-at-a-time :meth:`call_function` dispatch (the
+        row oracle) — each duplicate occurrence is still one call that hit
+        the cache, accounted in bulk
         (:meth:`~repro.engine.functions.Function.add_memo_hits`) — so the
         UDF-cache ablation counts distinct conversion evaluations the same
-        in both modes.  Non-memoizing profiles (System C cannot declare
-        UDFs deterministic) call per row, preserving their per-row
-        execution counts.
+        whichever compiler built the kernels.  Non-memoizing profiles
+        (System C cannot declare UDFs deterministic) call per row,
+        preserving their per-row execution counts.
         """
         catalog = self.database.catalog
         stats = self.database.stats
@@ -171,9 +164,8 @@ class PreparedSelect:
 
     def _compile(self) -> None:
         select = self._select
-        vector = self._context.database.vector
-        self._vector = vector
-        self._vectorized = vector.enabled
+        database = self._context.database
+        self._batch_size = database.vector.batch_size
         # operator profiles are recorded for top-level statements only;
         # per-outer-row sub-query runs would drown the profile in lock traffic
         self._profile_ops = self._parent_scope is None
@@ -182,10 +174,7 @@ class PreparedSelect:
         self._scopes.extend(planner.created_scopes)
         self._children.extend(self._pipeline.children())
 
-        if self._vectorized:
-            expr_compiler = BatchExpressionCompiler(self._scope, self._context)
-        else:
-            expr_compiler = ExpressionCompiler(self._scope, self._context)
+        expr_compiler = database.kernel_compiler(self._scope, self._context)
         self._post_filters = [
             expr_compiler.compile_predicate(conjunct) for conjunct in subquery_conjuncts
         ]
@@ -270,10 +259,9 @@ class PreparedSelect:
 
         group_scope = Scope(group_columns, parent=self._parent_scope)
         self._scopes.append(group_scope)
-        if self._vectorized:
-            group_compiler = BatchExpressionCompiler(group_scope, self._context)
-        else:
-            group_compiler = ExpressionCompiler(group_scope, self._context)
+        group_compiler = self._context.database.kernel_compiler(
+            group_scope, self._context
+        )
 
         def rewrite(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
             if expr is None:
@@ -407,56 +395,45 @@ class PreparedSelect:
     def stream(self, outers: tuple = ()):
         """Yield projected rows lazily (see :attr:`streamable`).
 
-        In vectorized mode the lazy path pulls bounded row chunks from
+        The lazy path pulls bounded row chunks from
         :meth:`~repro.engine.planner.JoinPipeline.iter_batches`, applies the
         post-filters and the projection per *batch* and honours ``LIMIT`` by
         stopping the pull early — an early ``LIMIT`` therefore materializes
-        O(batch) rows.  Row mode pulls single rows from
-        :meth:`~repro.engine.planner.JoinPipeline.iter_rows` instead.
-        Laziness covers joining and projection — never the full *result
-        set* is materialized; each base scan still evaluates its pushed-down
-        filters over its whole table when first pulled (sources produce row
-        lists).  Cached rows (uncorrelated sub-query memo) and
-        non-streamable shapes are simply replayed from the materialized
-        result.
+        O(batch) rows, and ``LIMIT 0`` none.  Laziness covers joining and
+        projection — never the full *result set* is materialized; each base
+        scan still evaluates its pushed-down filters over its whole table
+        when first pulled (sources produce row lists).  Cached rows
+        (uncorrelated sub-query memo) and non-streamable shapes are simply
+        replayed from the materialized result.
         """
         if not self.streamable or (not self.correlated and self._cache_rows is not None):
             yield from self.run(outers)
             return
         self._context.database.stats.add(subquery_runs=1)
+        limit = self._limit
+        if limit is not None and limit <= 0:
+            return
         filters = self._post_filters
         item_fns = self._item_fns
-        limit = self._limit
         produced = 0
-        if self._vectorized:
-            for chunk in self._pipeline.iter_batches(outers, self._vector.batch_size):
-                batch = RowBatch(chunk)
-                if filters:
-                    batch = apply_batch_predicates(batch, filters, outers)
-                    if batch.n == 0:
-                        continue
-                columns = [fn(batch, outers) for fn in item_fns]
-                for values in zip(*columns):
-                    yield values
-                    produced += 1
-                    if limit is not None and produced >= limit:
-                        return
-            return
-        for row in self._pipeline.iter_rows(outers):
-            if filters and not all(
-                predicate(row, outers) is True for predicate in filters
-            ):
-                continue
-            yield tuple(fn(row, outers) for fn in item_fns)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        for chunk in self._pipeline.iter_batches(outers, self._batch_size):
+            batch = RowBatch(chunk)
+            if filters:
+                batch = apply_batch_predicates(batch, filters, outers)
+                if batch.n == 0:
+                    continue
+            columns = [fn(batch, outers) for fn in item_fns]
+            for values in zip(*columns):
+                yield values
+                produced += 1
+                if limit is not None and produced >= limit:
+                    return
 
     def _run_uncached(self, outers: tuple) -> list[tuple]:
         stats = self._context.database.stats
         stats.add(subquery_runs=1)
         profiled = self._profile_ops
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         if profiled:
             kernels = stats.kernels
             marks = [perf_counter(), kernels.typed, kernels.generic, kernels.proven]
@@ -479,45 +456,22 @@ class PreparedSelect:
                 marks[2] = kernels.generic
                 marks[3] = kernels.proven
 
-        if self._vectorized:
-            batch = self._pipeline.execute_batch(outers)
-            if profiled:
-                record("scan+join", batch.n)
-            if self._post_filters:
-                batch = apply_batch_predicates(batch, self._post_filters, outers)
-                if profiled:
-                    record("filter", batch.n)
-            input_rows = batch.n
-            if self._grouped:
-                operator = "aggregate"
-                projected = self._run_grouped_vector(batch, outers)
-            else:
-                operator = "project"
-                projected = self._run_plain_vector(batch, outers)
-        else:
-            rows = self._pipeline.execute(outers)
-            if profiled:
-                record("scan+join", len(rows))
-            if self._post_filters:
-                filters = self._post_filters
-                rows = [
-                    row
-                    for row in rows
-                    if all(predicate(row, outers) is True for predicate in filters)
-                ]
-                if profiled:
-                    record("filter", len(rows))
-            input_rows = len(rows)
-            if self._grouped:
-                operator = "aggregate"
-                projected = self._run_grouped(rows, outers)
-            else:
-                operator = "project"
-                projected = self._run_plain(rows, outers)
+        batch = self._pipeline.execute_batch(outers)
         if profiled:
-            batches = (
-                max(1, -(-input_rows // batch_size)) if self._vectorized else 1
-            )
+            record("scan+join", batch.n)
+        if self._post_filters:
+            batch = apply_batch_predicates(batch, self._post_filters, outers)
+            if profiled:
+                record("filter", batch.n)
+        input_rows = batch.n
+        if self._grouped:
+            operator = "aggregate"
+            projected = self._run_grouped(batch, outers)
+        else:
+            operator = "project"
+            projected = self._run_plain(batch, outers)
+        if profiled:
+            batches = max(1, -(-input_rows // batch_size))
             record(operator, input_rows, batches=batches)
         if self._distinct:
             projected = self._deduplicate(projected)
@@ -532,9 +486,9 @@ class PreparedSelect:
             result = result[: self._limit]
         return result
 
-    def _run_plain_vector(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
+    def _run_plain(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
         """Batch projection: evaluate item/order columns per bounded window."""
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         item_fns = self._item_fns
         order_fns = self._order_fns
         projected: list[tuple[tuple, tuple]] = []
@@ -550,7 +504,7 @@ class PreparedSelect:
             projected.extend(zip(values_rows, keys_rows))
         return projected
 
-    def _run_grouped_vector(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
+    def _run_grouped(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
         """Batch aggregation: columnwise keys/arguments, per-group folding.
 
         Rows are processed in bounded windows of the source batch (windows
@@ -561,12 +515,12 @@ class PreparedSelect:
         slice via :meth:`~repro.engine.functions.Aggregate.add_many` (whole
         window) or :meth:`~repro.engine.functions.Aggregate.add_indexed`
         (group-index array, no intermediate gather) — in row order either
-        way, so float accumulation is bit-identical to row mode.
+        way, so float accumulation is bit-identical to per-row ``add``.
         """
         specs = self._aggregate_specs
         group_key_fns = self._group_key_fns
         has_keys = bool(group_key_fns)
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         groups: dict[tuple, list] = {}
         for start in range(0, source.n, batch_size):
             batch = source.window(start, start + batch_size)
@@ -596,7 +550,7 @@ class PreparedSelect:
                 for accumulator, column in zip(accumulators, argument_columns):
                     if column is None:
                         # COUNT(*) needs no argument column; other argless
-                        # shapes mirror row mode and feed the row tuples
+                        # shapes fold the row tuples themselves
                         if type(accumulator) is CountAggregate:
                             accumulator.add_count(count)
                         else:
@@ -613,13 +567,13 @@ class PreparedSelect:
             key + tuple(accumulator.result() for accumulator in accumulators)
             for key, accumulators in groups.items()
         ]
-        return self._project_groups_vector(group_rows, outers)
+        return self._project_groups(group_rows, outers)
 
-    def _project_groups_vector(
+    def _project_groups(
         self, group_rows: list[tuple], outers: tuple
     ) -> list[tuple[tuple, tuple]]:
         """HAVING + projection over the merged group rows, batch at a time."""
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         having_fn = self._having_fn
         item_fns = self._item_fns
         order_fns = self._order_fns
@@ -638,41 +592,6 @@ class PreparedSelect:
             else:
                 keys_rows = [()] * batch.n
             projected.extend(zip(values_rows, keys_rows))
-        return projected
-
-    def _run_plain(self, rows: list[tuple], outers: tuple) -> list[tuple[tuple, tuple]]:
-        item_fns = self._item_fns
-        order_fns = self._order_fns
-        projected = []
-        for row in rows:
-            values = tuple(fn(row, outers) for fn in item_fns)
-            keys = tuple(fn(row, outers) for fn, _ in order_fns)
-            projected.append((values, keys))
-        return projected
-
-    def _run_grouped(self, rows: list[tuple], outers: tuple) -> list[tuple[tuple, tuple]]:
-        groups: dict[tuple, list] = {}
-        group_key_fns = self._group_key_fns
-        has_keys = bool(group_key_fns)
-        for row in rows:
-            key = tuple(fn(row, outers) for fn in group_key_fns) if has_keys else ()
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = [make_aggregate(aggregate) for aggregate, _ in self._aggregate_specs]
-                groups[key] = bucket
-            for accumulator, (_, arg_fn) in zip(bucket, self._aggregate_specs):
-                accumulator.add(arg_fn(row, outers) if arg_fn is not None else row)
-        if not groups and not has_keys:
-            groups[()] = [make_aggregate(aggregate) for aggregate, _ in self._aggregate_specs]
-
-        projected = []
-        for key, accumulators in groups.items():
-            group_row = key + tuple(accumulator.result() for accumulator in accumulators)
-            if self._having_fn is not None and self._having_fn(group_row, outers) is not True:
-                continue
-            values = tuple(fn(group_row, outers) for fn in self._item_fns)
-            keys = tuple(fn(group_row, outers) for fn, _ in self._order_fns)
-            projected.append((values, keys))
         return projected
 
     @staticmethod

@@ -36,7 +36,6 @@ from .expressions import (
     referenced_columns,
 )
 from .vector import (
-    BatchExpressionCompiler,
     BatchKernel,
     RowBatch,
     apply_batch_predicates,
@@ -84,13 +83,8 @@ class SourcePlan:
     def __init__(self, schema: list[tuple[Optional[str], str]], bindings: set[str]) -> None:
         self.schema = schema
         self.bindings = bindings
-        self._filters: list[CompiledExpr] = []
-        # pushed-down predicates compiled as batch kernels (vectorized mode);
-        # a plan populates exactly one of the two lists
+        # pushed-down predicates, compiled as batch kernels
         self._batch_filters: list[BatchKernel] = []
-
-    def add_filter(self, predicate: CompiledExpr) -> None:
-        self._filters.append(predicate)
 
     def add_batch_filter(self, kernel: BatchKernel) -> None:
         self._batch_filters.append(kernel)
@@ -102,35 +96,19 @@ class SourcePlan:
         col_source=None,
         typed_source=None,
     ) -> list[tuple]:
-        if self._batch_filters:
-            batch = apply_batch_predicates(
-                RowBatch(rows, col_source, typed_source), self._batch_filters, outers
-            )
-            out = batch.rows
-            # never hand out the caller's own list (table heaps are shared)
-            return list(out) if out is rows else out
-        if not self._filters:
+        if not self._batch_filters:
             return rows
-        filters = self._filters
-        return [
-            row
-            for row in rows
-            if all(predicate(row, outers) is True for predicate in filters)
-        ]
+        batch = apply_batch_predicates(
+            RowBatch(rows, col_source, typed_source), self._batch_filters, outers
+        )
+        out = batch.rows
+        # never hand out the caller's own list (table heaps are shared)
+        return list(out) if out is rows else out
 
     def _filter_batch(self, batch: RowBatch, outers: tuple) -> RowBatch:
         """Apply the pushed-down filters to a batch, compacting by selection."""
         if self._batch_filters:
             batch = apply_batch_predicates(batch, self._batch_filters, outers)
-        if self._filters:
-            filters = self._filters
-            batch = RowBatch(
-                [
-                    row
-                    for row in batch.rows
-                    if all(predicate(row, outers) is True for predicate in filters)
-                ]
-            )
         return batch
 
     def rows(self, outers: tuple) -> list[tuple]:
@@ -139,10 +117,10 @@ class SourcePlan:
     def batch(self, outers: tuple) -> RowBatch:
         """The plan's filtered rows as one :class:`RowBatch`.
 
-        Entry point of the vectorized executor; :class:`TableSource`
-        overrides it so a full scan keeps its typed columns and its
-        selection view alive end to end instead of materializing row
-        tuples between the scan and the projection/aggregation stage.
+        Entry point of the executor; :class:`TableSource` overrides it so a
+        full scan keeps its typed columns and its selection view alive end
+        to end instead of materializing row tuples between the scan and the
+        projection/aggregation stage.
         """
         return RowBatch(self.rows(outers))
 
@@ -161,8 +139,8 @@ class TableSource(SourcePlan):
     the expression does not reference this table, the scan becomes a point
     look-up in a lazily-built hash index on that key column.
 
-    With ``typed=True`` (vectorized mode with ``REPRO_ENGINE_TYPED=1``) the
-    scan batch additionally exposes the table's version-cached
+    With ``typed=True`` (``REPRO_ENGINE_TYPED=1``) the scan batch
+    additionally exposes the table's version-cached
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels run their specialized loops.
     """
@@ -249,11 +227,10 @@ class PreparedSource(SourcePlan):
 class JoinSource(SourcePlan):
     """An explicit ``A [LEFT] JOIN B ON cond`` treated as one composite source.
 
-    In vectorized mode (``vectorized=True``) the ON-clause machinery is
-    batch-compiled: build/probe key columns come from batch kernels, the
-    residual condition evaluates once over the whole candidate batch, and
-    LEFT-join null padding is reconstructed from a candidate→left-position
-    index array — no per-row closure dispatch anywhere on the join path.
+    The ON-clause machinery is batch-compiled: build/probe key columns come
+    from batch kernels, the residual condition evaluates once over the whole
+    candidate batch, and LEFT-join null padding is reconstructed from a
+    candidate→left-position index array.
     """
 
     def __init__(
@@ -261,9 +238,8 @@ class JoinSource(SourcePlan):
         left: SourcePlan,
         right: SourcePlan,
         join_type: ast.JoinType,
-        key_pairs: list[tuple[CompiledExpr, CompiledExpr]],
-        residual: Optional[CompiledExpr],
-        vectorized: bool = False,
+        key_pairs: list[tuple[BatchKernel, BatchKernel]],
+        residual: Optional[BatchKernel],
     ) -> None:
         super().__init__(list(left.schema) + list(right.schema), left.bindings | right.bindings)
         self._left = left
@@ -272,7 +248,6 @@ class JoinSource(SourcePlan):
         self._key_pairs = key_pairs
         self._residual = residual
         self._right_width = len(right.schema)
-        self._vectorized = vectorized
 
     def children(self) -> list["PreparedSelect"]:
         return self._left.children() + self._right.children()
@@ -280,16 +255,15 @@ class JoinSource(SourcePlan):
     def estimate(self) -> int:
         return max(self._left.estimate(), self._right.estimate())
 
-    def _rows_vectorized(self, outers: tuple) -> list[tuple]:
+    def rows(self, outers: tuple) -> list[tuple]:
         """Batch ON-clause join: key columns, one residual mask, index padding.
 
-        Candidate pairs are collected in exactly the row-mode nesting order
-        together with a parallel array of left-row positions; the residual
-        (a batch kernel here) is evaluated once over the candidate batch —
-        never over unmatched rows, which row mode also never sees — and for
-        LEFT joins the output is rebuilt in one pass over the left side,
-        padding rows whose candidates all failed.  Output order is therefore
-        bit-identical to the row-at-a-time loop.
+        Candidate pairs are collected in nested-loop order (left rows outer,
+        build-side matches inner) together with a parallel array of left-row
+        positions; the residual is evaluated once over the candidate batch —
+        never over unmatched rows — and for LEFT joins the output is rebuilt
+        in one pass over the left side, padding rows whose candidates all
+        failed.
         """
         left_rows = self._left.rows(outers)
         right_rows = self._right.rows(outers)
@@ -325,9 +299,9 @@ class JoinSource(SourcePlan):
         if self._residual is not None and candidates:
             mask = self._residual(RowBatch(candidates), outers)
         if self._join_type is not ast.JoinType.LEFT:
-            if mask is None:
-                return candidates
-            return [row for row, keep in zip(candidates, mask) if keep is True]
+            if mask is not None:
+                candidates = [row for row, keep in zip(candidates, mask) if keep is True]
+            return self._apply_filters(candidates, outers)
         null_pad = (None,) * self._right_width
         combined: list[tuple] = []
         index = 0
@@ -341,43 +315,6 @@ class JoinSource(SourcePlan):
                 index += 1
             if not matched:
                 combined.append(left_row + null_pad)
-        return combined
-
-    def rows(self, outers: tuple) -> list[tuple]:
-        if self._vectorized:
-            return self._apply_filters(self._rows_vectorized(outers), outers)
-        left_rows = self._left.rows(outers)
-        right_rows = self._right.rows(outers)
-        null_pad = (None,) * self._right_width
-        combined: list[tuple] = []
-        keep_unmatched = self._join_type is ast.JoinType.LEFT
-        if self._key_pairs:
-            probe_fns = [pair[0] for pair in self._key_pairs]
-            build_fns = [pair[1] for pair in self._key_pairs]
-            table: dict[tuple, list[tuple]] = {}
-            for row in right_rows:
-                key = tuple(fn(row, outers) for fn in build_fns)
-                table.setdefault(key, []).append(row)
-            for left_row in left_rows:
-                key = tuple(fn(left_row, outers) for fn in probe_fns)
-                matched = False
-                for right_row in table.get(key, ()):
-                    candidate = left_row + right_row
-                    if self._residual is None or self._residual(candidate, outers) is True:
-                        combined.append(candidate)
-                        matched = True
-                if not matched and keep_unmatched:
-                    combined.append(left_row + null_pad)
-        else:
-            for left_row in left_rows:
-                matched = False
-                for right_row in right_rows:
-                    candidate = left_row + right_row
-                    if self._residual is None or self._residual(candidate, outers) is True:
-                        combined.append(candidate)
-                        matched = True
-                if not matched and keep_unmatched:
-                    combined.append(left_row + null_pad)
         return self._apply_filters(combined, outers)
 
 
@@ -392,9 +329,9 @@ class _JoinStep:
     def __init__(
         self,
         source: SourcePlan,
-        probe_fns: list[CompiledExpr],
-        build_fns: list[CompiledExpr],
-        residuals: list[CompiledExpr],
+        probe_fns: list[BatchKernel],
+        build_fns: list[BatchKernel],
+        residuals: list[BatchKernel],
     ) -> None:
         self.source = source
         self.probe_fns = probe_fns
@@ -405,11 +342,10 @@ class _JoinStep:
 class JoinPipeline:
     """Executes the planned sequence of scans, hash joins and residual filters.
 
-    In vectorized mode (``vectorized=True``) the probe/build key functions
-    and residual filters are batch kernels: join keys are computed as key
-    *columns* over whole row windows, residuals via
-    :func:`~repro.engine.vector.apply_batch_predicates`.  The streaming
-    spine is :meth:`iter_batches`, which emits bounded row chunks
+    The probe/build key functions and residual filters are batch kernels:
+    join keys are computed as key *columns* over whole row windows,
+    residuals via :func:`~repro.engine.vector.apply_batch_predicates`.  The
+    streaming spine is :meth:`iter_batches`, which emits bounded row chunks
     (``batch_size`` rows) so ``LIMIT`` consumers touch O(batch) rows.
     """
 
@@ -419,18 +355,16 @@ class JoinPipeline:
         steps: list[_JoinStep],
         final_residuals: list,
         schema: list[tuple[Optional[str], str]],
-        vectorized: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self._first = first
         self._steps = steps
         self._final_residuals = final_residuals
         self.schema = schema
-        self._vectorized = vectorized
         self._batch_size = batch_size
 
     def execute_batch(self, outers: tuple) -> RowBatch:
-        """The pipeline's joined rows as one :class:`RowBatch` (vectorized).
+        """The pipeline's joined rows as one :class:`RowBatch`.
 
         With no join steps the first source's batch flows through directly,
         so a filtered base-table scan keeps its typed columns and selection
@@ -443,39 +377,18 @@ class JoinPipeline:
             if self._final_residuals and batch.n:
                 batch = apply_batch_predicates(batch, self._final_residuals, outers)
             return batch
-        return RowBatch(self._execute_vectorized(outers))
-
-    def execute(self, outers: tuple) -> list[tuple]:
-        if self._vectorized:
-            return self._execute_vectorized(outers)
         current = self._first.rows(outers)
         for step in self._steps:
             if not current:
-                return []
+                return RowBatch([])
             current = self._execute_step(step, current, outers)
-        if self._final_residuals:
-            residuals = self._final_residuals
-            current = [
-                row
-                for row in current
-                if all(predicate(row, outers) is True for predicate in residuals)
-            ]
-        return current
-
-    def _execute_vectorized(self, outers: tuple) -> list[tuple]:
-        current = self._first.rows(outers)
-        for step in self._steps:
-            if not current:
-                return []
-            current = self._execute_step_batch(step, current, outers)
+        batch = RowBatch(current)
         if self._final_residuals and current:
-            current = apply_batch_predicates(
-                RowBatch(current), self._final_residuals, outers
-            ).rows
-        return current
+            batch = apply_batch_predicates(batch, self._final_residuals, outers)
+        return batch
 
     @staticmethod
-    def _execute_step_batch(
+    def _execute_step(
         step: _JoinStep, current: list[tuple], outers: tuple
     ) -> list[tuple]:
         new_rows = step.source.rows(outers)
@@ -506,37 +419,15 @@ class JoinPipeline:
             ).rows
         return joined
 
-    def iter_rows(self, outers: tuple):
-        """Yield joined rows lazily along the pipeline's left spine.
-
-        Each source still materializes its own (filtered) scan, and each
-        join step builds its right-side hash table up front; what is lazy is
-        the join *output*: left rows flow through one at a time, so the
-        first joined row is produced without computing the full cross
-        product — the engine's streaming path
-        (:meth:`repro.engine.executor.PreparedSelect.stream`).
-        """
-        current = iter(self._first.rows(outers))
-        for step in self._steps:
-            current = self._iter_step(step, current, outers)
-        if self._final_residuals:
-            residuals = self._final_residuals
-            current = (
-                row
-                for row in current
-                if all(predicate(row, outers) is True for predicate in residuals)
-            )
-        yield from current
-
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
-        """Yield joined rows lazily as bounded chunks (vectorized streaming).
+        """Yield joined rows lazily as bounded chunks (the streaming spine).
 
-        The batch analogue of :meth:`iter_rows`: each source still
-        materializes its own (filtered) scan and each join step builds its
-        hash table when first pulled, but left rows flow through the spine
-        ``batch_size`` at a time and every yielded chunk is re-bounded to at
-        most ``batch_size`` rows — an early-``LIMIT`` consumer therefore
-        materializes O(batch) rows, never the join output.
+        Each source still materializes its own (filtered) scan and each
+        join step builds its hash table when first pulled, but left rows
+        flow through the spine ``batch_size`` at a time and every yielded
+        chunk is re-bounded to at most ``batch_size`` rows — an
+        early-``LIMIT`` consumer therefore materializes O(batch) rows, never
+        the join output.
         """
         size = batch_size or self._batch_size
         current = _chunked(self._first.rows(outers), size)
@@ -556,7 +447,7 @@ class JoinPipeline:
         new_rows: list[tuple] = []
         for chunk in current:
             if table is None:
-                # built on first demand, exactly like the row-mode spine
+                # built on first demand: an empty left spine never scans it
                 new_rows = step.source.rows(outers)
                 table = {}
                 if step.probe_fns:
@@ -589,66 +480,6 @@ class JoinPipeline:
             # one-to-many joins can fan a chunk out past the bound; re-slice
             yield from _chunked(joined, batch_size)
 
-    @staticmethod
-    def _iter_step(step: _JoinStep, current, outers: tuple):
-        new_rows = step.source.rows(outers)
-        residuals = step.residuals
-        if step.probe_fns:
-            table: dict[tuple, list[tuple]] = {}
-            for row in new_rows:
-                key = tuple(fn(row, outers) for fn in step.build_fns)
-                table.setdefault(key, []).append(row)
-            for left_row in current:
-                key = tuple(fn(left_row, outers) for fn in step.probe_fns)
-                bucket = table.get(key)
-                if not bucket:
-                    continue
-                for right_row in bucket:
-                    joined = left_row + right_row
-                    if residuals and not all(
-                        predicate(joined, outers) is True for predicate in residuals
-                    ):
-                        continue
-                    yield joined
-        else:
-            for left_row in current:
-                for right_row in new_rows:
-                    joined = left_row + right_row
-                    if residuals and not all(
-                        predicate(joined, outers) is True for predicate in residuals
-                    ):
-                        continue
-                    yield joined
-
-    @staticmethod
-    def _execute_step(step: _JoinStep, current: list[tuple], outers: tuple) -> list[tuple]:
-        new_rows = step.source.rows(outers)
-        joined: list[tuple] = []
-        if step.probe_fns:
-            table: dict[tuple, list[tuple]] = {}
-            for row in new_rows:
-                key = tuple(fn(row, outers) for fn in step.build_fns)
-                table.setdefault(key, []).append(row)
-            for left_row in current:
-                key = tuple(fn(left_row, outers) for fn in step.probe_fns)
-                bucket = table.get(key)
-                if not bucket:
-                    continue
-                for right_row in bucket:
-                    joined.append(left_row + right_row)
-        else:
-            for left_row in current:
-                for right_row in new_rows:
-                    joined.append(left_row + right_row)
-        if step.residuals:
-            residuals = step.residuals
-            joined = [
-                row
-                for row in joined
-                if all(predicate(row, outers) is True for predicate in residuals)
-            ]
-        return joined
-
     def children(self) -> list["PreparedSelect"]:
         collected = list(self._first.children())
         for step in self._steps:
@@ -667,16 +498,9 @@ class EmptyPipeline:
 
     schema: list[tuple[Optional[str], str]] = []
 
-    def execute(self, outers: tuple) -> list[tuple]:
-        return [()]
-
     def execute_batch(self, outers: tuple) -> RowBatch:
         """The single empty row as a one-row batch."""
         return RowBatch([()])
-
-    def iter_rows(self, outers: tuple):
-        """The single empty row, as a (trivially lazy) iterator."""
-        yield ()
 
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
         """The single empty row as a one-row batch."""
@@ -714,9 +538,8 @@ class Planner:
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
         vector = context.database.vector
-        self._vectorized = vector.enabled
         self._batch_size = vector.batch_size
-        self._typed = vector.enabled and vector.typed
+        self._typed = vector.typed
         self._costed = context.database.cost.enabled
         self._facts = facts
         # binding (lower) -> column names (lower) the analyzer proved NOT
@@ -742,19 +565,10 @@ class Planner:
     def _compiler(self, columns: list[tuple[Optional[str], str]]) -> ExpressionCompiler:
         return ExpressionCompiler(self._new_scope(columns), self._context)
 
-    def _mode_compiler(self, columns: list[tuple[Optional[str], str]]):
-        """The compiler matching the execution mode: batch kernels when
-        vectorized, row closures otherwise (same scope bookkeeping)."""
-        if self._vectorized:
-            return BatchExpressionCompiler(self._new_scope(columns), self._context)
-        return ExpressionCompiler(self._new_scope(columns), self._context)
-
-    def _add_filter(self, source: SourcePlan, compiled) -> None:
-        """Attach a compiled predicate in the slot matching its mode."""
-        if self._vectorized:
-            source.add_batch_filter(compiled)
-        else:
-            source.add_filter(compiled)
+    def _kernel_compiler(self, columns: list[tuple[Optional[str], str]]):
+        """The database's kernel compiler over a fresh scope."""
+        database = self._context.database
+        return database.kernel_compiler(self._new_scope(columns), self._context)
 
     # -- public API ----------------------------------------------------------
 
@@ -832,11 +646,11 @@ class Planner:
             # schema-proven NOT NULL guarantees do not survive the join
             for binding in right.bindings:
                 self._proven_bindings.pop(binding, None)
-        key_pairs: list[tuple[CompiledExpr, CompiledExpr]] = []
+        key_pairs: list[tuple[BatchKernel, BatchKernel]] = []
         residual_parts: list[ast.Expression] = []
         if item.condition is not None:
-            left_compiler = self._mode_compiler(left.schema)
-            right_compiler = self._mode_compiler(right.schema)
+            left_compiler = self._kernel_compiler(left.schema)
+            right_compiler = self._kernel_compiler(right.schema)
             for conjunct in ast.split_conjuncts(item.condition):
                 pair = self._equi_join_pair(conjunct, left, right)
                 if pair is not None:
@@ -848,11 +662,11 @@ class Planner:
                     residual_parts.append(conjunct)
         residual = None
         if residual_parts:
-            combined_compiler = self._mode_compiler(list(left.schema) + list(right.schema))
+            combined_compiler = self._kernel_compiler(
+                list(left.schema) + list(right.schema)
+            )
             residual = combined_compiler.compile_predicate(ast.and_(*residual_parts))
-        return JoinSource(
-            left, right, item.join_type, key_pairs, residual, vectorized=self._vectorized
-        )
+        return JoinSource(left, right, item.join_type, key_pairs, residual)
 
     def _equi_join_pair(
         self, conjunct: ast.Expression, left: SourcePlan, right: SourcePlan
@@ -963,11 +777,11 @@ class Planner:
     # -- push-down ---------------------------------------------------------------
 
     def _apply_pushdown(self, source: SourcePlan, predicates: list[ast.Expression]) -> None:
-        compiler = self._mode_compiler(source.schema)
+        compiler = self._kernel_compiler(source.schema)
         for predicate in predicates:
             if isinstance(source, TableSource) and self._try_key_lookup(source, predicate):
                 continue
-            self._add_filter(source, compiler.compile_predicate(predicate))
+            source.add_batch_filter(compiler.compile_predicate(predicate))
 
     def _try_key_lookup(self, source: TableSource, predicate: ast.Expression) -> bool:
         if source.has_key_lookup:
@@ -1089,9 +903,9 @@ class Planner:
 
         pending_residuals, immediate = self._split_ready(pending_residuals, placed_bindings)
         if immediate:
-            compiler = self._mode_compiler(placed_schema)
+            compiler = self._kernel_compiler(placed_schema)
             for predicate in immediate:
-                self._add_filter(first, compiler.compile_predicate(predicate))
+                first.add_batch_filter(compiler.compile_predicate(predicate))
 
         while remaining:
             chosen_index = self._choose_next(
@@ -1104,8 +918,8 @@ class Planner:
 
             probe_fns: list = []
             build_fns: list = []
-            current_compiler = self._mode_compiler(placed_schema)
-            candidate_compiler = self._mode_compiler(candidate.schema)
+            current_compiler = self._kernel_compiler(placed_schema)
+            candidate_compiler = self._kernel_compiler(candidate.schema)
             for left_bindings, left_expr, right_bindings, right_expr in edges:
                 if left_bindings <= placed_bindings:
                     probe_fns.append(current_compiler.compile(left_expr))
@@ -1126,7 +940,7 @@ class Planner:
             pending_residuals, ready = self._split_ready(pending_residuals, placed_bindings)
             residual_fns: list = []
             if ready:
-                combined_compiler = self._mode_compiler(placed_schema)
+                combined_compiler = self._kernel_compiler(placed_schema)
                 residual_fns = [combined_compiler.compile_predicate(predicate) for predicate in ready]
             steps.append(_JoinStep(candidate, probe_fns, build_fns, residual_fns))
 
@@ -1135,14 +949,13 @@ class Planner:
             ast.BinaryOp("=", edge[1], edge[3]) for edge in unused_edges
         ]
         if leftover:
-            final_compiler = self._mode_compiler(placed_schema)
+            final_compiler = self._kernel_compiler(placed_schema)
             final_residuals = [final_compiler.compile_predicate(predicate) for predicate in leftover]
         return JoinPipeline(
             first,
             steps,
             final_residuals,
             placed_schema,
-            vectorized=self._vectorized,
             batch_size=self._batch_size,
         )
 

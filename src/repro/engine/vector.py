@@ -7,7 +7,10 @@ dominates execution.  This module compiles the same expression trees into
 column`` that evaluate one node over a whole :class:`RowBatch` in a single
 call, looping over column arrays in tight inner loops.  The executor, the
 planner's scans/joins and the cluster's post-merge evaluation all ride these
-kernels (``REPRO_ENGINE_VECTORIZE=0`` switches back to the row oracle).
+kernels: there is one operator pipeline.  The row interpreter survives as a
+kernel compiler, :class:`RowOracleCompiler`, whose kernels call it once per
+batch row — the independent evaluator the differential tests compare the
+batch kernels against.
 
 Semantics are bit-identical to the row interpreter: three-valued logic,
 NULL propagation, SQL comparison coercion (via the shared
@@ -18,7 +21,7 @@ branches only ever see the rows their condition selected) and sequential
 conjunct compaction in the callers.  Conversion-UDF calls are *memo-batched*
 through :meth:`repro.engine.executor.ExecutionContext.batch_call_function`:
 duplicate ``(function, args)`` keys inside a batch hit the memo once per
-distinct key and scatter the result, with counter parity to the row mode.
+distinct key and scatter the result, with counter parity to the row oracle.
 
 Sub-query nodes (scalar, ``IN``, ``EXISTS``) are evaluated through the row
 compiler inside the batch (the *rowwise fallback*): their per-row cost is an
@@ -216,9 +219,9 @@ def apply_batch_predicates(
     """Apply predicate kernels sequentially, compacting between them.
 
     Mirrors the row interpreter's conjunct short-circuit: a row dropped by an
-    earlier predicate is never evaluated by a later one (``all()`` stops at
-    the first non-True in row mode), so errors a later predicate would raise
-    on filtered-out rows cannot surface in either mode.  Compaction is
+    earlier predicate is never evaluated by a later one, so errors a later
+    predicate would raise on filtered-out rows cannot surface, whichever
+    compiler built the kernels.  Compaction is
     :meth:`RowBatch.filter` — the one selection-index seam — so no row-tuple
     list is rebuilt between conjuncts.
     """
@@ -263,7 +266,7 @@ class BatchExpressionCompiler:
     When the context exposes an engine database with typed columns enabled
     (``context.database.vector.typed``), eligible kernels are additionally
     compiled with a typed fast path and per-batch generic fallback; contexts
-    without a database (e.g. the cluster's post-merge evaluator, whose rows
+    without a database (e.g. the cluster's ``MergeCompiler``, whose rows
     never come from a base table) compile pure-generic kernels.
     """
 
@@ -303,8 +306,8 @@ class BatchExpressionCompiler:
         """Evaluate through the row interpreter, one call per batch row.
 
         Used for sub-query nodes: uncorrelated sub-queries answer from their
-        per-statement cache (same cost as the row mode paid), correlated
-        ones re-run per row by definition.
+        per-statement cache (one lookup per row), correlated ones re-run per
+        row by definition.  :class:`RowOracleCompiler` uses it for every node.
         """
         row_fn = ExpressionCompiler(self.scope, self.context).compile(expr)
         return lambda batch, outers: [row_fn(row, outers) for row in batch.rows]
@@ -1125,6 +1128,22 @@ class BatchExpressionCompiler:
         return kernel
 
 
+class RowOracleCompiler(BatchExpressionCompiler):
+    """The row-at-a-time interpreter as a kernel compiler (a test oracle).
+
+    Every kernel runs :class:`~repro.engine.expressions.ExpressionCompiler`'s
+    closure once per batch row, so the operator pipeline is unchanged while
+    each expression is evaluated by an independent implementation: no typed,
+    generic or memo-batched kernel is ever built.  Select it per database by
+    assigning it to :attr:`repro.engine.database.Database.kernel_compiler`
+    before statements are prepared.
+    """
+
+    def compile(self, expr: ast.Expression) -> BatchKernel:
+        """Compile one expression tree into a per-row interpreter kernel."""
+        return self._rowwise(expr)
+
+
 class _TypedUnsupported(Exception):
     """Internal: a subtree cannot compile into a typed numeric kernel."""
 
@@ -1183,7 +1202,7 @@ def _fold_literal(expr: ast.Expression) -> Optional[ast.Literal]:
     compile time is observationally equivalent — except for *when* errors
     surface.  A constant whose evaluation raises (e.g. a literal division by
     zero) therefore refuses to fold and stays a runtime kernel, exactly as
-    row mode leaves it.
+    the row interpreter leaves it.
     """
     if isinstance(expr, ast.Literal):
         return expr

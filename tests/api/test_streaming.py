@@ -1,11 +1,10 @@
 """Streaming acceptance: first rows without materializing the result set.
 
 The proof strategy is a counting UDF in the SELECT list: the projection runs
-once per *produced* row (row mode) or once per row of a *pulled batch*
-(vectorized mode, ``REPRO_ENGINE_BATCH`` rows at a time), so if ``fetchmany``
-returns the first rows while the counter is at most one batch — far below
-the table's row count — the backend demonstrably did not materialize the
-result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
+once per row of a *pulled batch* (``REPRO_ENGINE_BATCH`` rows at a time), so
+if ``fetchmany`` returns the first rows while the counter is at most one
+batch — far below the table's row count — the backend demonstrably did not
+materialize the result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
 the cluster's single-shard fast path delegation, plus the
 :class:`~repro.result.RowStream` container semantics and the lazy
 ``iter_dicts`` protocol.
@@ -56,7 +55,6 @@ def test_engine_fetchmany_is_batch_bounded(monkeypatch):
         cursor.execute("SELECT probe(a) FROM t")
         assert cursor.fetchmany(3) == [(0,), (1,), (2,)]
         # the engine's lazy pipeline evaluated at most one pulled batch
-        # (exactly the fetched rows in row-at-a-time mode)
         assert probe.calls <= BATCH
         assert cursor.fetchall() == [(index,) for index in range(3, ROWS)]
         assert probe.calls == ROWS
@@ -137,6 +135,46 @@ def test_cluster_single_shard_path_delegates_the_stream(tiny_mth_sharded):
         assert sorted(merged.rows) == sorted(reference.rows)
     finally:
         gateway.close()
+
+
+# ---------------------------------------------------------------------------
+# LIMIT 0 on the streaming path
+# ---------------------------------------------------------------------------
+
+#: one streamable statement per plan shape, each with ``LIMIT 0``
+LIMIT_ZERO_SHAPES = {
+    "scan": "SELECT a FROM t LIMIT 0",
+    "from-less": "SELECT 1 LIMIT 0",
+    "join": "SELECT t.a, u.c FROM t, u WHERE t.a = u.a LIMIT 0",
+    "key-lookup": "SELECT b FROM keyed WHERE k = 3 LIMIT 0",
+}
+
+
+@pytest.fixture(scope="module", params=["engine", "sqlite", "sharded:2"])
+def limit_zero_connection(request):
+    with api.connect(request.param) as connection:
+        cursor = connection.cursor()
+        cursor.execute("CREATE TABLE t (a INTEGER NOT NULL)")
+        cursor.execute("CREATE TABLE u (a INTEGER NOT NULL, c INTEGER)")
+        cursor.execute(
+            "CREATE TABLE keyed (k INTEGER NOT NULL, b INTEGER, PRIMARY KEY (k))"
+        )
+        rows = [(index, index * 10) for index in range(5)]
+        cursor.executemany("INSERT INTO t (a) VALUES (?)", [row[:1] for row in rows])
+        cursor.executemany("INSERT INTO u (a, c) VALUES (?, ?)", rows)
+        cursor.executemany("INSERT INTO keyed (k, b) VALUES (?, ?)", rows)
+        yield connection
+
+
+@pytest.mark.parametrize("shape", sorted(LIMIT_ZERO_SHAPES))
+def test_limit_zero_streams_no_rows(limit_zero_connection, shape):
+    """``LIMIT 0`` yields nothing — the stream must not emit a first row."""
+    cursor = limit_zero_connection.cursor()
+    cursor.execute(LIMIT_ZERO_SHAPES[shape])
+    assert cursor.fetchall() == []
+    # the same shape without the limit does produce rows
+    cursor.execute(LIMIT_ZERO_SHAPES[shape].replace("LIMIT 0", "LIMIT 1"))
+    assert len(cursor.fetchall()) == 1
 
 
 # ---------------------------------------------------------------------------

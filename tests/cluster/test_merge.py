@@ -1,12 +1,12 @@
-"""Unit tests for partial-aggregate merging and the merge evaluator."""
+"""Unit tests for partial-aggregate merging and the post-merge residual compiler."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import BatchMergeEvaluator, MergeEvaluator, merge_partial_rows, sort_rows
+from repro.cluster import MergeCompiler, merge_partial_rows, sort_rows
 from repro.cluster.merge import default_scalar_functions
-from repro.engine.vector import RowBatch
+from repro.engine.vector import RowBatch, RowOracleCompiler
 from repro.errors import ExecutionError
 from repro.sql.parser import parse_query
 from repro.sql.transform import (
@@ -61,68 +61,87 @@ class TestPartialMerge:
         assert merged[()] == (None, 0, None, None)
 
 
+class _RowOracleMerge(MergeCompiler):
+    """The same residual rewrite, evaluated by the row interpreter."""
+
+    kernel_compiler = RowOracleCompiler
+
+
+def _compilers(texts, aliases=(), functions=None, parameters=None):
+    return [
+        cls(texts, alias_names=aliases, functions=functions or {}, parameters=parameters)
+        for cls in (MergeCompiler, _RowOracleMerge)
+    ]
+
+
+def _evaluate(expr, texts, rows, aliases=(), functions=None, parameters=None):
+    """``expr``'s column over merged ``rows``, batch kernels == row oracle."""
+    batch_column, oracle_column = (
+        compiler.compile(expr)(RowBatch(rows), ())
+        for compiler in _compilers(texts, aliases, functions, parameters)
+    )
+    assert batch_column == oracle_column
+    return batch_column
+
+
+def _assert_refused(expr, texts, rows, match, parameters=None):
+    """Both compilers raise ``match`` over ``rows`` and accept zero groups."""
+    for compiler in _compilers(texts, parameters=parameters):
+        kernel = compiler.compile(expr)
+        with pytest.raises(ExecutionError, match=match):
+            kernel(RowBatch(rows), ())
+        assert kernel(RowBatch([]), ()) == []
+
+
+def _item(sql):
+    return parse_query(f"SELECT {sql} FROM t").items[0].expr
+
+
 class TestMergeEvaluator:
+    """Residual semantics over merged bindings, each case checked against
+    the row interpreter over the same rewritten tree."""
+
     def test_arithmetic_over_bindings(self):
-        query = parse_query("SELECT SUM(a) / SUM(b) AS ratio FROM t")
-        expr = query.items[0].expr
-        evaluator = MergeEvaluator({"SUM(a)": 10.0, "SUM(b)": 4.0})
-        assert evaluator.evaluate(expr) == 2.5
+        expr = _item("SUM(a) / SUM(b)")
+        assert _evaluate(expr, ["SUM(a)", "SUM(b)"], [(10.0, 4.0)]) == [2.5]
 
     def test_case_and_comparison(self):
-        query = parse_query(
-            "SELECT CASE WHEN SUM(a) > 5 THEN 'big' ELSE 'small' END FROM t"
-        )
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": 10}).evaluate(expr) == "big"
-        assert MergeEvaluator({"SUM(a)": 1}).evaluate(expr) == "small"
+        expr = _item("CASE WHEN SUM(a) > 5 THEN 'big' ELSE 'small' END")
+        assert _evaluate(expr, ["SUM(a)"], [(10,), (1,)]) == ["big", "small"]
 
     def test_division_by_zero_matches_engine(self):
-        query = parse_query("SELECT SUM(a) / SUM(b) FROM t")
-        expr = query.items[0].expr
-        with pytest.raises(ExecutionError, match="division by zero"):
-            MergeEvaluator({"SUM(a)": 1.0, "SUM(b)": 0}).evaluate(expr)
+        expr = _item("SUM(a) / SUM(b)")
+        for compiler in _compilers(["SUM(a)", "SUM(b)"]):
+            with pytest.raises(ExecutionError, match="division by zero"):
+                compiler.compile(expr)(RowBatch([(1.0, 0)]), ())
 
     def test_null_propagation(self):
-        query = parse_query("SELECT SUM(a) * 2 FROM t")
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": None}).evaluate(expr) is None
+        assert _evaluate(_item("SUM(a) * 2"), ["SUM(a)"], [(None,)]) == [None]
 
     def test_alias_lookup_for_having_and_order(self):
         query = parse_query("SELECT SUM(a) AS total FROM t GROUP BY g HAVING total > 3")
-        evaluator = MergeEvaluator({}, aliases={"total": 7})
-        assert evaluator.evaluate(query.having) is True
+        assert _evaluate(query.having, [], [(7,)], aliases=["total"]) == [True]
 
     def test_scalar_functions(self):
         """COALESCE and registered Python UDFs evaluate post-merge."""
         functions = default_scalar_functions()
         functions["my_rate"] = lambda key: {1: 2.0}[key]
-        query = parse_query("SELECT COALESCE(SUM(a), 0) * my_rate(1) FROM t")
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": None}, functions=functions).evaluate(expr) == 0.0
-        assert MergeEvaluator({"SUM(a)": 3.0}, functions=functions).evaluate(expr) == 6.0
+        expr = _item("COALESCE(SUM(a), 0) * my_rate(1)")
+        column = _evaluate(expr, ["SUM(a)"], [(None,), (3.0,)], functions=functions)
+        assert column == [0.0, 6.0]
 
     def test_unknown_function_raises(self):
-        query = parse_query("SELECT mystery(1) FROM t")
-        with pytest.raises(ExecutionError, match="cannot evaluate"):
-            MergeEvaluator({}).evaluate(query.items[0].expr)
+        _assert_refused(_item("mystery(1)"), [], [()], "cannot evaluate")
 
 
 class TestBatchMergeEvaluator:
-    """The vectorized merge path mirrors :class:`MergeEvaluator` per column."""
-
-    def _column(self, sql, bindings_rows, binding_texts, aliases=(), functions=None):
-        query = parse_query(f"SELECT {sql} FROM t")
-        evaluator = BatchMergeEvaluator(
-            binding_texts, alias_names=aliases, functions=functions or {}
-        )
-        kernel = evaluator.compile(query.items[0].expr)
-        return kernel(RowBatch(bindings_rows), ())
+    """One compile per statement, one kernel call over all merged groups."""
 
     def test_compiled_kernel_evaluates_all_groups_at_once(self):
-        column = self._column(
-            "SUM(a) / SUM(b)",
-            [(10.0, 4.0), (9.0, 3.0), (1.0, 2.0)],
+        column = _evaluate(
+            _item("SUM(a) / SUM(b)"),
             ["SUM(a)", "SUM(b)"],
+            [(10.0, 4.0), (9.0, 3.0), (1.0, 2.0)],
         )
         assert column == [2.5, 3.0, 0.5]
 
@@ -138,38 +157,36 @@ class TestBatchMergeEvaluator:
             "SUM(a) BETWEEN 0 AND 100",
             "g IN (1, 3)",
             "NOT (COUNT(a) > 2)",
+            "CASE WHEN COUNT(a) > 0 THEN SUM(a) / COUNT(a) END",
+            "g || '-' || COUNT(a)",
         ):
-            query = parse_query(f"SELECT {sql} FROM t")
-            expr = query.items[0].expr
-            batch_column = self._column(sql, rows, texts, functions=functions)
-            row_values = [
-                MergeEvaluator(dict(zip(texts, row)), functions=functions).evaluate(expr)
-                for row in rows
-            ]
-            assert batch_column == row_values, sql
+            column = _evaluate(_item(sql), texts, rows, functions=functions)
+            assert len(column) == len(rows), sql
 
     def test_alias_columns_resolve_in_having_position(self):
         query = parse_query(
             "SELECT SUM(a) AS total FROM t GROUP BY g HAVING total > 3"
         )
-        evaluator = BatchMergeEvaluator(["g", "SUM(a)"], alias_names=["total"])
-        kernel = evaluator.compile(query.having)
         # batch rows: bindings then alias values
-        assert kernel(RowBatch([(1, 7.0, 7.0), (2, 1.0, 1.0)]), ()) == [True, False]
+        column = _evaluate(
+            query.having, ["g", "SUM(a)"], [(1, 7.0, 7.0), (2, 1.0, 1.0)], aliases=["total"]
+        )
+        assert column == [True, False]
+
+    def test_bound_parameters_become_literals(self):
+        column = _evaluate(_item("SUM(a) > ?"), ["SUM(a)"], [(5.0,), (1.0,)], parameters=[2])
+        assert column == [True, False]
 
     def test_unknown_function_falls_back_to_the_row_error(self):
-        query = parse_query("SELECT mystery(SUM(a)) FROM t")
-        evaluator = BatchMergeEvaluator(["SUM(a)"])
-        kernel = evaluator.compile(query.items[0].expr)
-        with pytest.raises(ExecutionError, match="cannot evaluate"):
-            kernel(RowBatch([(1.0,)]), ())
+        _assert_refused(_item("mystery(SUM(a))"), ["SUM(a)"], [(1.0,)], "cannot evaluate")
 
     def test_unbound_column_falls_back_to_the_row_error(self):
-        query = parse_query("SELECT stray FROM t")
-        evaluator = BatchMergeEvaluator(["SUM(a)"])
-        kernel = evaluator.compile(query.items[0].expr)
-        with pytest.raises(ExecutionError, match="unbound merge column"):
-            kernel(RowBatch([(1.0,)]), ())
+        _assert_refused(_item("stray"), ["SUM(a)"], [(1.0,)], "unbound merge column")
+
+    def test_unbound_parameter_raises_only_over_groups(self):
+        _assert_refused(
+            _item("SUM(a) > ?"), ["SUM(a)"], [(1.0,)], "no value for parameter"
+        )
 
 
 class TestSortRows:

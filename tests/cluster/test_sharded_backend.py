@@ -109,6 +109,17 @@ class TestQueryPlanning:
         assert result.columns == ["E_reg_id", "heads", "pay"]
         assert sum(row[1] for row in result.rows) == 6
 
+    def test_grouped_aggregate_without_groups_merges_to_no_rows(self, sharded_paper):
+        mt, backend = sharded_paper
+        connection = mt.connect(0, optimization="o4")
+        connection.set_scope("IN ()")
+        result = connection.query(
+            "SELECT E_reg_id, COUNT(*) AS heads FROM Employees "
+            "WHERE E_salary < 0 GROUP BY E_reg_id HAVING COUNT(*) > 0 ORDER BY heads"
+        )
+        assert isinstance(backend.connect().last_plan, PartialAggregatePlan)
+        assert result.rows == []
+
     def test_results_match_single_backend(self, sharded_paper, paper_example_factory):
         mt_sharded, _backend = sharded_paper
         mt_single = paper_example_factory()
@@ -333,11 +344,12 @@ class TestCrossShardDMLRejection:
 
 def test_merge_evaluator_date_arithmetic():
     """An ORDER BY key like ``d + INTERVAL '1' MONTH`` evaluates post-merge."""
-    from repro.cluster import MergeEvaluator
+    from repro.cluster import MergeCompiler
+    from repro.engine.vector import RowBatch
     from repro.sql.parser import parse_query
     from repro.sql.types import Date
 
     query = parse_query("SELECT d FROM t ORDER BY d + INTERVAL '1' MONTH")
-    expr = query.order_by[0].expr
-    value = MergeEvaluator({"d": Date.from_string("1998-01-15")}).evaluate(expr)
+    kernel = MergeCompiler(["d"]).compile(query.order_by[0].expr)
+    (value,) = kernel(RowBatch([(Date.from_string("1998-01-15"),)]), ())
     assert str(value) == "1998-02-15"

@@ -1,6 +1,7 @@
 """Tests for built-in functions, aggregates, UDFs and UDF result caching."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import Database
 from repro.engine.functions import (
@@ -63,6 +64,77 @@ class TestAggregateAccumulators:
         assert isinstance(make_aggregate(distinct), DistinctAggregate)
         with pytest.raises(FunctionError):
             make_aggregate(ast.FunctionCall(name="MEDIAN", args=(ast.Column("x"),)))
+
+
+#: every accumulator the executor builds, DISTINCT variants included
+AGGREGATE_FACTORIES = {
+    "count(*)": lambda: CountAggregate(count_star=True),
+    "count": CountAggregate,
+    "sum": SumAggregate,
+    "avg": AvgAggregate,
+    "min": MinAggregate,
+    "max": MaxAggregate,
+    "count distinct": lambda: DistinctAggregate(CountAggregate()),
+    "sum distinct": lambda: DistinctAggregate(SumAggregate()),
+    "avg distinct": lambda: DistinctAggregate(AvgAggregate()),
+    "min distinct": lambda: DistinctAggregate(MinAggregate()),
+    "max distinct": lambda: DistinctAggregate(MaxAggregate()),
+}
+
+_values = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+    ),
+    max_size=40,
+)
+
+
+def _bits(value):
+    """Bit-level identity of an aggregate result (``-0.0`` != ``0.0``)."""
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATE_FACTORIES))
+@given(data=st.data(), values=_values)
+def test_batch_folds_are_bit_identical_to_per_row_add(name, data, values):
+    """``add_many`` / ``add_indexed`` / ``add_count`` == repeated ``add``.
+
+    The executor folds each group's slice of a batch window through the
+    batch entry points, window after window; the reference folds the same
+    values one ``add`` per row in the same order.  A drawn split point
+    models the window boundary between the two batch calls.
+    """
+    indices = data.draw(
+        st.lists(st.integers(0, max(len(values) - 1, 0)), unique=True).map(sorted)
+        if values
+        else st.just([])
+    )
+    split = data.draw(st.integers(0, len(indices)))
+    head, tail = indices[:split], indices[split:]
+    factory = AGGREGATE_FACTORIES[name]
+
+    reference = factory()
+    for index in indices:
+        reference.add(values[index])
+
+    many_then_indexed = factory()
+    many_then_indexed.add_many([values[index] for index in head])
+    many_then_indexed.add_indexed(values, tail)
+
+    indexed_then_many = factory()
+    indexed_then_many.add_indexed(values, head)
+    indexed_then_many.add_many([values[index] for index in tail])
+
+    expected = _bits(reference.result())
+    assert _bits(many_then_indexed.result()) == expected
+    assert _bits(indexed_then_many.result()) == expected
+    if name == "count(*)":
+        counted = factory()
+        counted.add_count(len(head))
+        counted.add_count(len(tail))
+        assert _bits(counted.result()) == expected
 
 
 class TestBuiltinScalars:

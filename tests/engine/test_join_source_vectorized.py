@@ -5,29 +5,32 @@ PR 7 vectorized the comma-join pipeline but deliberately left explicit
 that last row-at-a-time loop too.  These tests pin its contracts directly —
 LEFT-join unmatched padding, multi-key ON clauses, residual conditions that
 would raise if they were (wrongly) evaluated over unmatched or non-candidate
-rows — each asserted bit-identical against the row-mode oracle on the same
-data, in both the typed and the generic-vectorized configuration.
+rows — each asserted bit-identical against the row oracle
+(:class:`~repro.engine.vector.RowOracleCompiler`) on the same data, in both
+the typed and the generic-kernel configuration.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Database, VectorConfig
+from repro.engine import Database, RowOracleCompiler, VectorConfig
 from repro.errors import ExecutionError
 
 #: small batch so multi-batch behaviour is exercised by the larger fixtures
 BATCH = 4
 
 MODES = {
-    "typed": VectorConfig(enabled=True, batch_size=BATCH, typed=True),
-    "generic": VectorConfig(enabled=True, batch_size=BATCH, typed=False),
-    "row": VectorConfig(enabled=False, batch_size=BATCH),
+    "typed": (VectorConfig(batch_size=BATCH, typed=True), None),
+    "generic": (VectorConfig(batch_size=BATCH, typed=False), None),
+    "row": (VectorConfig(batch_size=BATCH), RowOracleCompiler),
 }
 
 
-def _load(vector: VectorConfig) -> Database:
+def _load(vector: VectorConfig, compiler) -> Database:
     db = Database(vector=vector)
+    if compiler is not None:
+        db.kernel_compiler = compiler
     db.execute(
         "CREATE TABLE orders (o_id INTEGER NOT NULL, o_cust INTEGER, "
         "o_total DECIMAL(10,2), PRIMARY KEY (o_id))"
@@ -64,7 +67,7 @@ def _load(vector: VectorConfig) -> Database:
 
 @pytest.fixture(scope="module")
 def databases() -> dict[str, Database]:
-    return {name: _load(vector) for name, vector in MODES.items()}
+    return {name: _load(*mode) for name, mode in MODES.items()}
 
 
 def _all_modes(databases, sql: str):
@@ -130,7 +133,7 @@ def test_raising_residual_never_sees_unmatched_rows(databases):
     """A residual that raises on some *non-candidate* rows must not raise.
 
     ``100 / c.c_limit`` divides by zero for customer 14 (c_limit 0.0) — but
-    no order joins to key 14, so row mode never evaluates the residual over
+    no order joins to key 14, so the row oracle never evaluates the residual over
     that row.  The batched residual must restrict itself to the key-matched
     candidate rows exactly the same way, in every mode.
     """

@@ -110,14 +110,14 @@ def _table(db: Database):
 
 
 def test_typed_cache_is_reused_within_a_version():
-    table = _table(Database(vector=VectorConfig(enabled=True)))
+    table = _table(Database(vector=VectorConfig()))
     first = table.typed_column(0)
     assert first is not None and list(first.values) == [1, 2]
     assert table.typed_column(0) is first  # cached, not rebuilt
 
 
 def test_typed_cache_invalidates_on_mutation():
-    db = Database(vector=VectorConfig(enabled=True))
+    db = Database(vector=VectorConfig())
     table = _table(db)
     before = table.typed_column(0)
     db.insert_rows("t", [(3, "z")])
@@ -127,7 +127,7 @@ def test_typed_cache_invalidates_on_mutation():
 
 
 def test_typed_cache_remembers_refusals():
-    db = Database(vector=VectorConfig(enabled=True))
+    db = Database(vector=VectorConfig())
     table = _table(db)
     db.insert_rows("t", [(True, "w")])  # destabilize column 0
     assert table.typed_column(0) is None
@@ -150,7 +150,7 @@ def test_env_typed_accepts_only_the_two_flags(monkeypatch):
 
 
 def _kernel_db(typed: bool) -> Database:
-    db = Database(vector=VectorConfig(enabled=True, batch_size=4, typed=typed))
+    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
     db.execute("CREATE TABLE t (a INTEGER, b DECIMAL(10,2))")
     db.insert_rows("t", [(i, float(i)) for i in range(10)])
     return db
@@ -181,20 +181,13 @@ def test_set_typed_flips_dispatch_and_replans():
     assert typed > 0
     db.set_typed(False)
     assert db.vector.typed is False
-    assert db.vector.enabled is True  # only the typed layer switches off
+    assert db.vector.batch_size == 4  # only the typed layer switches off
     rows_after, (typed, generic) = _kernels(db, query)
     assert rows_after == rows_before
     assert typed == 0 and generic == 0
     db.set_typed(True)
     _, (typed, _) = _kernels(db, query)
     assert typed > 0
-
-
-def test_set_vectorize_preserves_the_typed_flag():
-    db = _kernel_db(typed=False)
-    db.set_vectorize(False)
-    db.set_vectorize(True)
-    assert db.vector.typed is False
 
 
 def test_unstable_column_falls_back_per_batch():

@@ -1,12 +1,12 @@
 """Unit tests pinning the batch kernels' semantics and configuration.
 
-The differential suite proves the vectorized engine equals the row oracle
-on whole MT-H queries; these tests pin the *local* contracts that proof
-rests on: three-valued logic inside batch kernels, NULL-skipping batch
-aggregation, memo-batched conversion-UDF dispatch with exact counter
-parity, the strict ``REPRO_ENGINE_*`` knob validation, and the
-batch-bounded streaming guarantee (LIMIT + ``fetchmany`` consume at most
-one extra batch).
+The differential suite proves the batch kernels equal the row oracle
+(:class:`~repro.engine.vector.RowOracleCompiler`) on whole MT-H queries;
+these tests pin the *local* contracts that proof rests on: three-valued
+logic inside batch kernels, NULL-skipping batch aggregation, memo-batched
+conversion-UDF dispatch with exact counter parity, the strict
+``REPRO_ENGINE_*`` knob validation, and the batch-bounded streaming
+guarantee (LIMIT + ``fetchmany`` consume at most one extra batch).
 """
 
 from __future__ import annotations
@@ -15,20 +15,23 @@ import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend
-from repro.engine import Database, VectorConfig
-from repro.engine.config import env_batch_size, env_vectorize
+from repro.engine import Database, RowOracleCompiler, VectorConfig
+from repro.engine.config import env_batch_size
 from repro.errors import ConfigurationError
 
 
-def _db(enabled: bool = True, batch_size: int = 4, profile: str = "postgres"):
-    return Database(profile, vector=VectorConfig(enabled=enabled, batch_size=batch_size))
+def _db(row_oracle: bool = False, batch_size: int = 4, profile: str = "postgres"):
+    db = Database(profile, vector=VectorConfig(batch_size=batch_size))
+    if row_oracle:
+        db.kernel_compiler = RowOracleCompiler
+    return db
 
 
 def _both_modes(setup, query: str):
-    """Run ``query`` on a vectorized and a row-mode database built by ``setup``."""
+    """Run ``query`` on a batch-kernel and a row-oracle database built by ``setup``."""
     results = []
-    for enabled in (True, False):
-        db = _db(enabled=enabled)
+    for row_oracle in (False, True):
+        db = _db(row_oracle=row_oracle)
         setup(db)
         results.append(db.query(query).rows)
     return results
@@ -154,8 +157,8 @@ _UDF_DDL = (
 )
 
 
-def _udf_workload(profile: str, enabled: bool):
-    db = _db(enabled=enabled, profile=profile)
+def _udf_workload(profile: str, row_oracle: bool):
+    db = _db(row_oracle=row_oracle, profile=profile)
     db.execute("CREATE TABLE t (v INTEGER)")
     # 12 rows, 3 distinct argument values -> the memo collapses 12 calls
     db.insert_rows("t", [(i % 3,) for i in range(12)])
@@ -168,20 +171,20 @@ def _udf_workload(profile: str, enabled: bool):
 @pytest.mark.parametrize("profile", ["postgres", "system_c"])
 def test_udf_counters_have_parity(profile):
     """Both modes report identical call/execution/cache-hit counts."""
-    assert _udf_workload(profile, enabled=True) == _udf_workload(
-        profile, enabled=False
+    assert _udf_workload(profile, row_oracle=False) == _udf_workload(
+        profile, row_oracle=True
     )
 
 
 def test_postgres_memo_dedupes_within_a_batch():
-    calls, executions, hits = _udf_workload("postgres", enabled=True)
+    calls, executions, hits = _udf_workload("postgres", row_oracle=False)
     assert calls == 12
     assert executions == 3  # one per distinct argument
     assert hits == 9
 
 
 def test_system_c_profile_never_caches():
-    calls, executions, hits = _udf_workload("system_c", enabled=True)
+    calls, executions, hits = _udf_workload("system_c", row_oracle=False)
     assert calls == 12
     assert executions == 12
     assert hits == 0
@@ -192,16 +195,6 @@ def test_system_c_profile_never_caches():
 # ---------------------------------------------------------------------------
 
 
-def test_env_vectorize_accepts_only_the_two_flags(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "1")
-    assert env_vectorize() is True
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "0")
-    assert env_vectorize() is False
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "yes")
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_VECTORIZE"):
-        env_vectorize()
-
-
 @pytest.mark.parametrize("bad", ["x", "0", "-3", "1.5"])
 def test_env_batch_size_rejects_malformed_values(monkeypatch, bad):
     monkeypatch.setenv("REPRO_ENGINE_BATCH", bad)
@@ -210,30 +203,15 @@ def test_env_batch_size_rejects_malformed_values(monkeypatch, bad):
 
 
 def test_vector_config_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "0")
     monkeypatch.setenv("REPRO_ENGINE_BATCH", "256")
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "0")
     config = VectorConfig.from_env()
-    assert config == VectorConfig(enabled=False, batch_size=256, typed=False)
+    assert config == VectorConfig(batch_size=256, typed=False)
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "1")
     assert VectorConfig.from_env().typed is True
     # keyword overrides win over the environment
-    assert VectorConfig.from_env(enabled=True).batch_size == 256
+    assert VectorConfig.from_env(batch_size=8).batch_size == 8
     assert VectorConfig.from_env(typed=False).typed is False
-
-
-def test_set_vectorize_flips_the_mode_and_replans():
-    db = _db(enabled=True, batch_size=8)
-    db.execute("CREATE TABLE t (a INTEGER)")
-    db.insert_rows("t", [(i,) for i in range(20)])
-    before = db.query("SELECT SUM(a) FROM t").rows
-    db.set_vectorize(False)
-    assert db.vector.enabled is False
-    assert db.vector.batch_size == 8  # batch size survives the flip
-    assert db.query("SELECT SUM(a) FROM t").rows == before
-    db.set_vectorize(True, batch_size=16)
-    assert db.vector == VectorConfig(enabled=True, batch_size=16)
-    assert db.query("SELECT SUM(a) FROM t").rows == before
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +220,7 @@ def test_set_vectorize_flips_the_mode_and_replans():
 
 
 def test_operator_profiles_record_batched_execution():
-    db = _db(enabled=True, batch_size=8)
+    db = _db(batch_size=8)
     db.execute("CREATE TABLE t (a INTEGER)")
     db.insert_rows("t", [(i,) for i in range(40)])
     db.stats.reset()
@@ -277,7 +255,7 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
     batches spanning those N rows — never the whole table."""
     batch = 32
     backend = EngineBackend(
-        database=Database(vector=VectorConfig(enabled=True, batch_size=batch))
+        database=Database(vector=VectorConfig(batch_size=batch))
     )
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)

@@ -1,6 +1,6 @@
-"""Differential suite: proven vs. observed-typed vs. generic vs. row.
+"""Differential suite: proven vs. observed-typed vs. generic vs. row oracle.
 
-The engine's four execution legs, each the oracle for the one above it:
+The engine's four kernel legs, each the oracle for the one above it:
 
 * **proven** — the default: typed kernels plus the type checker's
   proven-NOT-NULL facts selecting null-check-free kernel variants,
@@ -8,7 +8,9 @@ The engine's four execution legs, each the oracle for the one above it:
   off): nullability is observed per ``TypedColumn``, never proven,
 * **generic** — ``REPRO_ENGINE_TYPED=0``: the generic object-list batch
   kernels,
-* **row** — ``REPRO_ENGINE_VECTORIZE=0``: the row-at-a-time interpreter.
+* **row** — :class:`~repro.engine.vector.RowOracleCompiler`: the same
+  operator pipeline with every expression evaluated by the row-at-a-time
+  interpreter, an evaluator independent of the batch kernels.
 
 These tests load the *same* generated MT-H data into four engine
 instances (with a small batch size, so every query crosses batch
@@ -25,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import EngineBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database, RowOracleCompiler, VectorConfig
 from repro.mth.loader import load_mth
 from repro.mth.queries import ALL_QUERY_IDS, CONVERSION_INTENSIVE, query_text
 
@@ -46,10 +48,10 @@ DATASETS = {
 SCENARIOS = ("uniform", "zipf")
 
 
-def _engine_instance(tiny_tpch_data, scenario: str, enabled: bool, typed: bool = True):
-    database = Database(
-        vector=VectorConfig(enabled=enabled, batch_size=BATCH, typed=typed)
-    )
+def _engine_instance(tiny_tpch_data, scenario: str, typed: bool = True, compiler=None):
+    database = Database(vector=VectorConfig(batch_size=BATCH, typed=typed))
+    if compiler is not None:
+        database.kernel_compiler = compiler
     return load_mth(
         data=tiny_tpch_data,
         tenants=TENANTS,
@@ -61,13 +63,15 @@ def _engine_instance(tiny_tpch_data, scenario: str, enabled: bool, typed: bool =
 @pytest.fixture(scope="module", params=SCENARIOS)
 def engine_quartet(request, tiny_tpch_data):
     """The same MT-H data in proven, observed-typed, generic and row engines."""
-    proven = _engine_instance(tiny_tpch_data, request.param, enabled=True)
-    observed = _engine_instance(tiny_tpch_data, request.param, enabled=True)
+    proven = _engine_instance(tiny_tpch_data, request.param)
+    observed = _engine_instance(tiny_tpch_data, request.param)
     # same engine configuration, but no SemanticFacts: nullability stays
     # observed per TypedColumn, the proven kernel variants never fire
     observed.middleware.compiler.typecheck = False
-    generic = _engine_instance(tiny_tpch_data, request.param, enabled=True, typed=False)
-    row_mode = _engine_instance(tiny_tpch_data, request.param, enabled=False)
+    generic = _engine_instance(tiny_tpch_data, request.param, typed=False)
+    row_mode = _engine_instance(
+        tiny_tpch_data, request.param, compiler=RowOracleCompiler
+    )
     # the facts legs pin the checker on explicitly, so the quartet keeps its
     # shape even on the CI leg that exports REPRO_COMPILE_TYPECHECK=0
     for instance in (proven, generic, row_mode):
@@ -103,17 +107,17 @@ def test_mth_query_results_bit_identical(engine_quartet, query_id):
             f"Q{query_id} D'={name}: typed kernels diverge from generic kernels"
         )
         assert generic_result.rows == row_result.rows, (
-            f"Q{query_id} D'={name}: rows differ between execution modes"
+            f"Q{query_id} D'={name}: batch kernels diverge from the row oracle"
         )
 
 
 @pytest.mark.parametrize("level", ["canonical", "o1"])
 def test_udf_counters_identical_across_modes(engine_quartet, level):
-    """Memo-batched UDF dispatch keeps counter parity with row mode.
+    """Memo-batched UDF dispatch keeps counter parity with the row oracle.
 
     At low optimization levels the conversion UDFs execute instead of being
     inlined; the batch path dedupes ``(function, args)`` per batch but must
-    report the *same* call/execution/cache-hit counts the row mode reports
+    report the *same* call/execution/cache-hit counts the row oracle reports
     (satellite #6: distinct conversion evaluations counted identically).
     """
     for query_id in CONVERSION_INTENSIVE:

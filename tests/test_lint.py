@@ -148,6 +148,59 @@ def test_envknobs_accepts_strict_documented_parser(local_paths):
     assert envknobs.check(roots=(local_paths,)) == []
 
 
+def _strict_reader(directory: Path) -> Path:
+    directory.mkdir()
+    _write(
+        directory,
+        "strict.py",
+        """
+        import os
+
+        def batch():
+            value = os.environ.get("REPRO_ENGINE_BATCH", "").strip()
+            if not value.isdigit():
+                raise ConfigurationError(value)
+            return int(value)
+
+        def lenient():
+            return os.getenv("REPRO_ENGINE_TYPED") == "1"
+        """,
+    )
+    return directory
+
+
+def test_envknobs_flags_documented_knob_nothing_reads(local_paths):
+    code = _strict_reader(local_paths / "code")
+    docs = local_paths / "docs"
+    docs.mkdir()
+    _write(
+        docs,
+        "ci.yml",
+        """
+        run: REPRO_GHOST_KNOB=0 REPRO_ENGINE_BATCH=8 pytest
+        # the REPRO_SERVER_* family prefix is not a knob name
+        """,
+    )
+    findings = envknobs.check(roots=(code,), naming_roots=(docs,))
+    stale = [v for v in findings if "no strict parser" in v.message]
+    assert [v.render() for v in stale] == [
+        "ci.yml:2: REPRO_GHOST_KNOB is named here but no strict parser in "
+        "src/ or benchmarks/ reads it — drop the stale knob or add its parser"
+    ]
+
+
+def test_envknobs_stale_rule_ignores_lenient_reads(local_paths):
+    """A knob only a lenient function reads is not *strictly* read."""
+    code = _strict_reader(local_paths / "code")
+    docs = local_paths / "docs"
+    docs.mkdir()
+    _write(docs, "page.md", "Set `REPRO_ENGINE_TYPED=0` to ...\n")
+    findings = envknobs.check(roots=(code,), naming_roots=(docs,))
+    assert any(
+        "REPRO_ENGINE_TYPED is named here" in v.message for v in findings
+    )
+
+
 # ---------------------------------------------------------------------------
 # execguard: unvetted exec/eval is caught
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ malformed value — never ``or default`` / ``== "1"`` leniency, because a
 mistyped knob that silently falls back to its default runs the wrong
 experiment and reports it as the right one.
 
-Two rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
+Three rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
 
 1. **Strict parse** — every read of a ``REPRO_*`` variable
    (``os.environ.get``, ``os.getenv``, ``os.environ[...]``) must sit inside
@@ -16,6 +16,11 @@ Two rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
    (``"X" in os.environ``) are exempt: a probe cannot misparse a value.
 2. **Documented** — every ``REPRO_*`` name that reaches a parser must
    appear in ``README.md`` or somewhere under ``docs/``.
+3. **Not stale** — every ``REPRO_*`` name that ``README.md``, ``docs/`` or a
+   CI workflow (``.github/workflows/*.yml``) mentions must be read by a
+   strict parser.  A knob deleted from the code but still documented (or
+   still exported by a CI leg) promises a switch that does nothing.
+   Family prefixes such as ``REPRO_SERVER_*`` are not names.
 
 Run directly (``python tools/lint/envknobs.py``) or via
 ``tools/lint/run.py``.
@@ -24,6 +29,7 @@ Run directly (``python tools/lint/envknobs.py``) or via
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +41,11 @@ else:
 
 BENCHMARKS = REPO_ROOT / "benchmarks"
 DOC_ROOTS = (REPO_ROOT / "README.md", REPO_ROOT / "docs")
+#: where rule 3 looks for knob names: the docs plus the CI workflows
+NAMING_ROOTS = DOC_ROOTS + (REPO_ROOT / ".github" / "workflows",)
+NAMING_SUFFIXES = (".md", ".yml", ".yaml")
+#: a whole knob name; ``REPRO_SERVER_*`` (a family prefix) does not match
+KNOB_NAME = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
 
 PREFIX = "REPRO_"
 
@@ -114,9 +125,16 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _check_module(path: Path) -> tuple[list[Violation], set[str]]:
+def _check_module(path: Path) -> tuple[list[Violation], set[str], set[str]]:
+    """Rule-1 findings, every ``REPRO_*`` constant, and the strictly read names.
+
+    A strict read with a dynamic key (a parser taking the name as an
+    argument) counts every ``REPRO_*`` constant of its module as read.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     violations: list[Violation] = []
+    strict_names: set[str] = set()
+    dynamic_strict = False
 
     # map every node to its innermost enclosing function
     enclosing: dict[ast.AST, ast.AST] = {}
@@ -158,7 +176,14 @@ def _check_module(path: Path) -> tuple[list[Violation], set[str]]:
                     f"fall back to the default",
                 )
             )
-    return violations, _referenced_names(tree)
+        elif isinstance(key, str):
+            strict_names.add(key)
+        else:
+            dynamic_strict = True
+    referenced = _referenced_names(tree)
+    if dynamic_strict:
+        strict_names |= referenced
+    return violations, referenced, strict_names
 
 
 def _documented_names() -> str:
@@ -172,14 +197,44 @@ def _documented_names() -> str:
     return "\n".join(texts)
 
 
-def check(roots=None) -> list[Violation]:
-    """Run both rules; return every violation (empty = clean)."""
+def _named_knobs(roots) -> dict[str, tuple[str, int]]:
+    """Knob name -> first ``(file, line)`` naming it under ``roots``."""
+    pages: list[Path] = []
+    for root in roots:
+        if root.is_file():
+            pages.append(root)
+        elif root.is_dir():
+            pages.extend(
+                sorted(p for p in root.rglob("*") if p.suffix in NAMING_SUFFIXES)
+            )
+    named: dict[str, tuple[str, int]] = {}
+    for page in pages:
+        lines = page.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            for name in KNOB_NAME.findall(line):
+                named.setdefault(name, (relative(page), number))
+    return named
+
+
+def check(roots=None, naming_roots=None) -> list[Violation]:
+    """Run the three rules; return every violation (empty = clean).
+
+    ``roots`` are the code trees (default ``src/`` + ``benchmarks/``).
+    Rule 3 compares them with ``naming_roots``, which default to the docs
+    and CI workflows only when the default code roots are checked: the
+    repository's documents describe the repository's code, not a seeded
+    directory.
+    """
+    if naming_roots is None:
+        naming_roots = NAMING_ROOTS if roots is None else ()
     roots = roots if roots is not None else (SRC, BENCHMARKS)
     violations: list[Violation] = []
     referenced: dict[str, tuple[str, int]] = {}
+    strictly_read: set[str] = set()
     for path in python_files(*roots):
-        found, names = _check_module(path)
+        found, names, strict_names = _check_module(path)
         violations.extend(found)
+        strictly_read |= strict_names
         for name in names:
             referenced.setdefault(name, (relative(path), 1))
     documentation = _documented_names()
@@ -192,6 +247,17 @@ def check(roots=None) -> list[Violation]:
                     line,
                     f"{name} is read but never documented in README.md or "
                     f"docs/ — add it to the environment-variable table",
+                )
+            )
+    for name, (where, line) in sorted(_named_knobs(naming_roots).items()):
+        if name not in strictly_read:
+            violations.append(
+                Violation(
+                    where,
+                    line,
+                    f"{name} is named here but no strict parser in src/ or "
+                    f"benchmarks/ reads it — drop the stale knob or add its "
+                    f"parser",
                 )
             )
     return violations
