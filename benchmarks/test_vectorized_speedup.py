@@ -2,7 +2,8 @@
 
 The engine's hot path runs typed-column kernels (``repro.engine.columns`` +
 the specialized paths in ``repro.engine.vector``); below them sit the
-generic object-list batch kernels (``REPRO_ENGINE_TYPED=0``), and below
+generic object-list batch kernels
+(:class:`~repro.engine.vector.GenericKernelCompiler`), and below
 those the row-at-a-time interpreter kept as the bit-identical differential
 oracle (:class:`~repro.engine.vector.RowOracleCompiler`, the same operator
 pipeline with every expression interpreted per row).  This ablation times
@@ -24,7 +25,11 @@ import pytest
 
 from conftest import record_benchmark
 from repro.bench.workload import WorkloadConfig, load_workload
-from repro.engine import RowOracleCompiler
+from repro.engine import (
+    BatchExpressionCompiler,
+    GenericKernelCompiler,
+    RowOracleCompiler,
+)
 from repro.mth.queries import query_text
 
 #: scan-dominated aggregation queries, where vectorization matters most
@@ -62,32 +67,23 @@ def test_vectorized_speedup(benchmark, workload, query_id):
     connection = workload.connection(client=1, dataset="all")
     rewritten = connection.rewrite(query_text(query_id))
 
-    was_typed = database.vector.typed
-
-    def _measure():
+    def _measure(compiler):
+        database.kernel_compiler = compiler
+        database.executor.invalidate()  # SQL-UDF body plans hold kernels
         workload.reset_caches()
-        return _best_of(lambda: workload.backend.execute(rewritten))
+        try:
+            return _best_of(lambda: workload.backend.execute(rewritten))
+        finally:
+            del database.kernel_compiler  # back to the class default
+            database.executor.invalidate()
 
-    database.kernel_compiler = RowOracleCompiler
-    database.executor.invalidate()  # SQL-UDF body plans hold kernels
-    try:
-        row_seconds, row_result = _measure()
-    finally:
-        del database.kernel_compiler  # back to the class default
-        database.executor.invalidate()
-
-    try:
-        database.set_typed(False)
-        generic_seconds, generic_result = _measure()
-
-        database.set_typed(True)
-        typed_seconds, typed_result = _measure()
-        # the benchmarked unit is one more typed run, for the report
-        benchmark.pedantic(
-            lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
-        )
-    finally:
-        database.set_typed(was_typed)
+    row_seconds, row_result = _measure(RowOracleCompiler)
+    generic_seconds, generic_result = _measure(GenericKernelCompiler)
+    typed_seconds, typed_result = _measure(BatchExpressionCompiler)
+    # the benchmarked unit is one more typed run, for the report
+    benchmark.pedantic(
+        lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
+    )
 
     assert typed_result.rows == generic_result.rows == row_result.rows
     benchmark.extra_info["execute_row_ms"] = round(row_seconds * 1000.0, 4)

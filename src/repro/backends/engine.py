@@ -70,28 +70,6 @@ class EngineConnection(BackendConnection):
             statement = _bind_parameters(statement, parameters)
         return self._database.execute(statement)
 
-    def execute_scoped(
-        self,
-        statement: Statement,
-        dataset: Optional[Sequence[int]] = None,
-        parameters: Optional[Sequence[Any]] = None,
-        compiled: Optional["CompiledQuery"] = None,
-    ) -> ExecuteResult:
-        """Execute a compiled statement, forwarding its semantic facts.
-
-        ``dataset`` is routing metadata a single-database backend ignores,
-        but ``compiled.facts`` matters here: the engine selects its
-        null-check-free (*proven*) kernel variants from the analyzer's
-        proven-NOT-NULL sets, so statements that went through the compiler
-        run faster than bare ``execute()`` calls.
-        """
-        if parameters:
-            if isinstance(statement, str):
-                statement = parse_statement(statement)
-            statement = _bind_parameters(statement, parameters)
-        facts = compiled.facts if compiled is not None else None
-        return self._database.execute(statement, facts=facts)
-
     def execute_stream(
         self,
         statement: Statement,
@@ -103,9 +81,8 @@ class EngineConnection(BackendConnection):
 
         Streamable shapes (no grouping/ORDER BY/DISTINCT) yield their first
         row having evaluated only that row; barrier shapes materialize
-        internally and replay.  ``dataset`` is routing metadata a
-        single-database backend ignores; ``compiled.facts`` selects proven
-        kernel variants exactly like :meth:`execute_scoped`.
+        internally and replay.  ``dataset`` and ``compiled`` are routing
+        metadata a single-database backend ignores.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
@@ -113,8 +90,7 @@ class EngineConnection(BackendConnection):
             statement = _bind_parameters(statement, parameters)
         if not isinstance(statement, ast.Select):
             raise BackendError("execute_stream() expects a SELECT statement")
-        facts = compiled.facts if compiled is not None else None
-        return self._database.execute_stream(statement, facts=facts)
+        return self._database.execute_stream(statement)
 
     # -- UDF registration ----------------------------------------------------
 

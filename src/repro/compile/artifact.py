@@ -133,8 +133,8 @@ class CompiledQuery:
     seconds: float
     #: what the static semantic analyzer proved about the statement
     #: (``None`` when the checker is disabled, ``REPRO_COMPILE_TYPECHECK=0``);
-    #: the engine reads ``facts.proven_not_null`` to dispatch null-check-free
-    #: kernels, the client checks bind values against ``facts.parameter_types``
+    #: the cost model reads ``facts.proven_not_null``, the client checks bind
+    #: values against ``facts.parameter_types``
     facts: Optional["SemanticFacts"] = field(default=None, repr=False, compare=False)
     #: backend-owned memo space for derived execution artifacts
     attachments: dict = field(default_factory=dict, repr=False, compare=False)

@@ -214,7 +214,7 @@ class QueryCompiler:
         if checker is not None:
             # provenance/nullability facts over the *rewritten* statement:
             # the shardability walk reuses the column-owner map instead of
-            # its any-binding heuristic, the engine the proven-NOT-NULL sets
+            # its any-binding heuristic, the cost model the proven-NOT-NULL sets
             facts = checker.facts(current)
         analysis = ShardabilityAnalyzer(
             self.catalog(),

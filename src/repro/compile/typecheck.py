@@ -22,10 +22,8 @@ produces a :class:`SemanticFacts` artifact that travels on the
 :class:`~repro.compile.artifact.CompiledQuery`:
 
 * ``proven_not_null`` — per table, the columns whose non-nullness is
-  *proven* by a declared ``NOT NULL`` (storage enforces it).  The engine's
-  vectorized kernels use this to select null-check-free variants
-  (``counters.proven``) and the cost model to skip null-fraction
-  discounting,
+  *proven* by a declared ``NOT NULL`` (storage enforces it).  The cost
+  model uses this to skip null-fraction discounting,
 * ``column_owners`` — which FROM binding each column reference of the
   *rewritten* statement resolves to; the shardability analysis consumes
   this instead of re-walking the AST with an any-binding heuristic,
@@ -71,8 +69,8 @@ def env_typecheck() -> bool:
 
     ``"1"`` (or unset/empty) enables the prepare-time checker, ``"0"``
     disables it — the escape hatch the CI matrix exercises; results must be
-    identical either way, only diagnostics and proven-kernel dispatch
-    change.  Anything else raises :class:`ConfigurationError`.
+    identical either way, only diagnostics, cost-model null fractions and
+    provenance reuse change.  Anything else raises :class:`ConfigurationError`.
     """
     value = os.environ.get("REPRO_COMPILE_TYPECHECK", "").strip()
     if not value or value == "1":

@@ -355,9 +355,6 @@ class MTConnection:
                 generic = profile.generic_kernels - (
                     prior.generic_kernels if prior else 0
                 )
-                proven = profile.proven_kernels - (
-                    prior.proven_kernels if prior else 0
-                )
                 if batches > 0 or rows > 0:
                     operators.append(
                         OperatorProfile(
@@ -367,7 +364,6 @@ class MTConnection:
                             seconds=seconds,
                             typed_kernels=typed,
                             generic_kernels=generic,
-                            proven_kernels=proven,
                         )
                     )
         return operators, actual_rows

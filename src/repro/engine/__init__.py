@@ -9,18 +9,23 @@ from .database import (
     Database,
     StatementResult,
 )
-from .config import DEFAULT_BATCH_SIZE, VectorConfig
 from .executor import ExecutionStats, QueryResult
 from .functions import PythonFunction, SQLFunction
 from .storage import ColumnSchema, Table, TableSchema
-from .vector import BatchExpressionCompiler, RowBatch, RowOracleCompiler
+from .vector import (
+    DEFAULT_BATCH_SIZE,
+    BatchExpressionCompiler,
+    GenericKernelCompiler,
+    RowBatch,
+    RowOracleCompiler,
+)
 
 __all__ = [
     "BatchExpressionCompiler",
     "DEFAULT_BATCH_SIZE",
+    "GenericKernelCompiler",
     "RowBatch",
     "RowOracleCompiler",
-    "VectorConfig",
     "Catalog",
     "Database",
     "BackendProfile",

@@ -24,8 +24,7 @@ equals calendar ordering.
 :meth:`repro.engine.storage.Table.typed_column` caches one
 :class:`TypedColumn` (or the ``None`` refusal) per column per table
 *version*, so repeated scans of a stable table pay the stability check
-once per mutation epoch.  ``REPRO_ENGINE_TYPED=0`` switches the whole
-layer off (see :mod:`repro.engine.config`).
+once per mutation epoch.
 """
 
 from __future__ import annotations

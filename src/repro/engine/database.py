@@ -23,7 +23,6 @@ from ..result import ExecuteResult, StatementResult
 from ..sql import ast
 from ..sql.parser import parse_statement, parse_statements
 from .catalog import Catalog
-from .config import VectorConfig
 from .ddl import (
     execute_create_function,
     execute_create_table,
@@ -34,7 +33,7 @@ from .ddl import (
 from .dml import execute_delete, execute_insert, execute_update
 from .executor import ExecutionStats, Executor, QueryResult, RowStream
 from .functions import PythonFunction, SQLFunction
-from .vector import BatchExpressionCompiler
+from .vector import DEFAULT_BATCH_SIZE, BatchExpressionCompiler
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,13 @@ PROFILES = {
 class Database:
     """An in-memory SQL database executing the ``repro`` SQL dialect.
 
-    Statements run through one batch operator pipeline configured by
-    :attr:`vector` (``REPRO_ENGINE_BATCH`` / ``REPRO_ENGINE_TYPED``).  The
-    pipeline's expressions compile through :attr:`kernel_compiler`; a test
-    assigns :class:`~repro.engine.vector.RowOracleCompiler` (or a fake) to
-    one instance, before it prepares statements, to evaluate every
-    expression through the row interpreter instead.
+    Statements run through one batch operator pipeline over windows of
+    ``batch_size`` rows (tests pass a small size to cross batch edges).
+    The pipeline's expressions compile through :attr:`kernel_compiler`; a
+    test assigns :class:`~repro.engine.vector.GenericKernelCompiler`,
+    :class:`~repro.engine.vector.RowOracleCompiler` (or a fake) to one
+    instance, before it prepares statements, to evaluate every expression
+    through the generic kernels or the row interpreter instead.
     """
 
     #: compiles every plan expression into a batch kernel
@@ -71,8 +71,8 @@ class Database:
     def __init__(
         self,
         profile: Union[str, BackendProfile] = POSTGRES_PROFILE,
-        vector: Optional[VectorConfig] = None,
         cost: Optional[CostConfig] = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if isinstance(profile, str):
             try:
@@ -80,7 +80,7 @@ class Database:
             except KeyError as exc:
                 raise ExecutionError(f"unknown back-end profile {profile!r}") from exc
         self.profile = profile
-        self.vector = vector if vector is not None else VectorConfig.from_env()
+        self.batch_size = batch_size
         self.cost = cost if cost is not None else CostConfig.from_env()
         self.catalog = Catalog()
         self.stats = ExecutionStats()
@@ -99,21 +99,13 @@ class Database:
 
     # -- statement execution --------------------------------------------------
 
-    def execute(
-        self, statement: Union[str, ast.Statement], facts=None
-    ) -> ExecuteResult:
-        """Execute one statement (SQL text or an already-parsed AST node).
-
-        ``facts`` carries the compiler's
-        :class:`~repro.compile.typecheck.SemanticFacts`; for SELECTs the
-        planner uses its proven-NOT-NULL sets to pick null-check-free
-        kernel variants.  Other statement types ignore it.
-        """
+    def execute(self, statement: Union[str, ast.Statement]) -> ExecuteResult:
+        """Execute one statement (SQL text or an already-parsed AST node)."""
         if isinstance(statement, str):
             statement = parse_statement(statement)
         self.stats.add(statements=1)
         if isinstance(statement, ast.Select):
-            return self.executor.execute(statement, facts=facts)
+            return self.executor.execute(statement)
         if isinstance(statement, ast.CreateTable):
             with self._write_lock:
                 execute_create_table(self.catalog, statement)
@@ -164,21 +156,18 @@ class Database:
         """Execute a ``;``-separated script, returning one result per statement."""
         return [self.execute(statement) for statement in parse_statements(sql)]
 
-    def execute_stream(
-        self, statement: Union[str, ast.Select], facts=None
-    ) -> RowStream:
+    def execute_stream(self, statement: Union[str, ast.Select]) -> RowStream:
         """Execute a SELECT as a lazily produced row stream.
 
         See :meth:`repro.engine.executor.Executor.execute_stream`; the
-        statement counter ticks at call time, like :meth:`execute`, and
-        ``facts`` selects proven kernel variants the same way.
+        statement counter ticks at call time, like :meth:`execute`.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         if not isinstance(statement, ast.Select):
             raise ExecutionError("execute_stream() expects a SELECT statement")
         self.stats.add(statements=1)
-        return self.executor.execute_stream(statement, facts=facts)
+        return self.executor.execute_stream(statement)
 
     def query(self, sql: Union[str, ast.Select]) -> QueryResult:
         """Execute a SELECT and return its :class:`QueryResult`."""
@@ -278,25 +267,12 @@ class Database:
     def set_cost(self, enabled: bool) -> None:
         """Switch cost-based planning on or off for this database.
 
-        Like :meth:`set_typed`, the switch takes effect on the next
-        statement preparation; cached SQL-UDF body plans are dropped.
+        The switch takes effect on the next statement preparation; cached
+        SQL-UDF body plans are dropped.
         """
         self.cost = CostConfig(
             enabled=enabled,
             prefilter_max_selectivity=self.cost.prefilter_max_selectivity,
-        )
-        self.executor.invalidate()
-
-    def set_typed(self, enabled: bool) -> None:
-        """Switch typed-column kernel specialization on or off.
-
-        See :mod:`repro.engine.config`.  The switch takes effect on the next
-        statement preparation and drops cached SQL-UDF body plans, which
-        embedded the previous setting in their kernels.
-        """
-        self.vector = VectorConfig(
-            batch_size=self.vector.batch_size,
-            typed=enabled,
         )
         self.executor.invalidate()
 

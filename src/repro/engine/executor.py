@@ -132,11 +132,9 @@ class ExecutionContext:
     # -- sub-queries -----------------------------------------------------------
 
     def prepare_subquery(
-        self, select: ast.Select, parent_scope: Optional[Scope], facts=None
+        self, select: ast.Select, parent_scope: Optional[Scope]
     ) -> "PreparedSelect":
-        # facts flow into sub-plans because proven-NOT-NULL sets are keyed by
-        # base-table name — schema truths, valid at any nesting depth
-        return self.executor.prepare(select, parent_scope, facts=facts)
+        return self.executor.prepare(select, parent_scope)
 
 
 class PreparedSelect:
@@ -147,13 +145,11 @@ class PreparedSelect:
         executor: "Executor",
         select: ast.Select,
         parent_scope: Optional[Scope],
-        facts=None,
     ) -> None:
         self._executor = executor
         self._context = executor.context
         self._select = select
         self._parent_scope = parent_scope
-        self._facts = facts
         self._cache_rows: Optional[list[tuple]] = None
         self._cache_value_set: Optional[ValueSet] = None
         self._scopes: list[Scope] = []
@@ -165,11 +161,11 @@ class PreparedSelect:
     def _compile(self) -> None:
         select = self._select
         database = self._context.database
-        self._batch_size = database.vector.batch_size
+        self._batch_size = database.batch_size
         # operator profiles are recorded for top-level statements only;
         # per-outer-row sub-query runs would drown the profile in lock traffic
         self._profile_ops = self._parent_scope is None
-        planner = Planner(self._context, self._parent_scope, facts=self._facts)
+        planner = Planner(self._context, self._parent_scope)
         self._pipeline, self._scope, subquery_conjuncts = planner.plan(select)
         self._scopes.extend(planner.created_scopes)
         self._children.extend(self._pipeline.children())
@@ -436,11 +432,11 @@ class PreparedSelect:
         batch_size = self._batch_size
         if profiled:
             kernels = stats.kernels
-            marks = [perf_counter(), kernels.typed, kernels.generic, kernels.proven]
+            marks = [perf_counter(), kernels.typed, kernels.generic]
 
             def record(operator: str, rows_count: int, batches: int = 1) -> None:
                 # each stage's profile carries the wall time and the
-                # typed/generic/proven kernel dispatches since the previous mark
+                # typed/generic kernel dispatches since the previous mark
                 now = perf_counter()
                 stats.record_operator(
                     operator,
@@ -449,12 +445,10 @@ class PreparedSelect:
                     batches=batches,
                     typed_kernels=kernels.typed - marks[1],
                     generic_kernels=kernels.generic - marks[2],
-                    proven_kernels=kernels.proven - marks[3],
                 )
                 marks[0] = now
                 marks[1] = kernels.typed
                 marks[2] = kernels.generic
-                marks[3] = kernels.proven
 
         batch = self._pipeline.execute_batch(outers)
         if profiled:
@@ -624,25 +618,25 @@ class Executor:
         self._function_body_plans: dict[str, PreparedSelect] = {}
         self._plans_lock = threading.Lock()
 
-    def execute(self, select: ast.Select, facts=None) -> QueryResult:
-        prepared = self.prepare(select, None, facts=facts)
+    def execute(self, select: ast.Select) -> QueryResult:
+        prepared = self.prepare(select, None)
         rows = prepared.run(())
         return QueryResult(columns=prepared.output_columns, rows=rows)
 
-    def execute_stream(self, select: ast.Select, facts=None) -> RowStream:
+    def execute_stream(self, select: ast.Select) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.
 
         Streamable shapes (see :attr:`PreparedSelect.streamable`) yield their
         first row without materializing the result; barrier shapes (grouping,
         ``ORDER BY``, ``DISTINCT``) materialize internally and replay.
         """
-        prepared = self.prepare(select, None, facts=facts)
+        prepared = self.prepare(select, None)
         return RowStream(columns=prepared.output_columns, rows=prepared.stream(()))
 
     def prepare(
-        self, select: ast.Select, parent_scope: Optional[Scope], facts=None
+        self, select: ast.Select, parent_scope: Optional[Scope]
     ) -> PreparedSelect:
-        return PreparedSelect(self, select, parent_scope, facts=facts)
+        return PreparedSelect(self, select, parent_scope)
 
     def function_body_plan(self, function: Function, arg_count: int) -> PreparedSelect:
         # lock-free fast path (dict reads are atomic under the GIL), locked

@@ -36,24 +36,18 @@ class Scope:
     ``binding`` is the FROM-clause alias (or table name) the column belongs
     to, or ``None`` for synthetic columns (group keys, UDF parameters).
     Scopes chain through ``parent`` for correlated sub-queries.
-
-    ``proven`` holds the slot indexes the static analyzer proved NOT NULL
-    (see :mod:`repro.compile.typecheck`); batch compilers use it to pick
-    null-check-free kernel variants.
     """
 
     def __init__(
         self,
         columns: Sequence[tuple[Optional[str], str]],
         parent: Optional["Scope"] = None,
-        proven: frozenset = frozenset(),
     ) -> None:
         self.columns = [
             ((binding.lower() if binding else None), column.lower())
             for binding, column in columns
         ]
         self.parent = parent
-        self.proven = proven
         self.uses_parent = False
         self._by_column: dict[str, list[int]] = {}
         self._by_qualified: dict[tuple[str, str], int] = {}

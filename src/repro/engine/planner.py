@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional
 from ..compile.cost import predicate_selectivity
 from ..errors import ExecutionError
 from ..sql import ast
-from .config import DEFAULT_BATCH_SIZE
 from .expressions import (
     CompiledExpr,
     ExpressionCompiler,
@@ -36,6 +35,7 @@ from .expressions import (
     referenced_columns,
 )
 from .vector import (
+    DEFAULT_BATCH_SIZE,
     BatchKernel,
     RowBatch,
     apply_batch_predicates,
@@ -139,17 +139,15 @@ class TableSource(SourcePlan):
     the expression does not reference this table, the scan becomes a point
     look-up in a lazily-built hash index on that key column.
 
-    With ``typed=True`` (``REPRO_ENGINE_TYPED=1``) the scan batch
-    additionally exposes the table's version-cached
+    Full-scan batches expose the table's version-cached
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels run their specialized loops.
     """
 
-    def __init__(self, table, binding: str, typed: bool = False) -> None:
+    def __init__(self, table, binding: str) -> None:
         schema = [(binding, column.name) for column in table.schema.columns]
         super().__init__(schema, {binding.lower()})
         self.table = table
-        self._typed = typed
         self._key_lookup: Optional[tuple[int, CompiledExpr]] = None
 
     def set_key_lookup(self, column_index: int, value_fn: CompiledExpr) -> None:
@@ -176,7 +174,7 @@ class TableSource(SourcePlan):
             self.table.rows,
             outers,
             col_source=self.table.column_array,
-            typed_source=self.table.typed_column if self._typed else None,
+            typed_source=self.table.typed_column,
         )
         return list(filtered) if filtered is self.table.rows else filtered
 
@@ -186,7 +184,7 @@ class TableSource(SourcePlan):
         scan = RowBatch(
             self.table.rows,
             col_source=self.table.column_array,
-            typed_source=self.table.typed_column if self._typed else None,
+            typed_source=self.table.typed_column,
         )
         return self._filter_batch(scan, outers)
 
@@ -531,34 +529,16 @@ class Planner:
         self,
         context: "ExecutionContext",
         parent_scope: Optional[Scope],
-        facts=None,
     ) -> None:
         self._context = context
         self._parent_scope = parent_scope
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
-        vector = context.database.vector
-        self._batch_size = vector.batch_size
-        self._typed = vector.typed
+        self._batch_size = context.database.batch_size
         self._costed = context.database.cost.enabled
-        self._facts = facts
-        # binding (lower) -> column names (lower) the analyzer proved NOT
-        # NULL; populated as base tables are planned, cleared for relations
-        # on the null-padded side of a LEFT join
-        self._proven_bindings: dict[str, frozenset[str]] = {}
 
     def _new_scope(self, columns: list[tuple[Optional[str], str]]) -> Scope:
-        proven_bindings = self._proven_bindings
-        if proven_bindings:
-            proven = frozenset(
-                index
-                for index, (binding, column) in enumerate(columns)
-                if binding is not None
-                and column.lower() in proven_bindings.get(binding.lower(), ())
-            )
-        else:
-            proven = frozenset()
-        scope = Scope(columns, parent=self._parent_scope, proven=proven)
+        scope = Scope(columns, parent=self._parent_scope)
         self.created_scopes.append(scope)
         return scope
 
@@ -615,9 +595,7 @@ class Planner:
         if isinstance(item, ast.TableRef):
             return self._plan_table(item)
         if isinstance(item, ast.SubqueryRef):
-            prepared = self._context.prepare_subquery(
-                item.query, self._parent_scope, facts=self._facts
-            )
+            prepared = self._context.prepare_subquery(item.query, self._parent_scope)
             return PreparedSource(prepared, item.alias)
         if isinstance(item, ast.Join):
             return self._plan_join(item)
@@ -628,24 +606,14 @@ class Planner:
         binding = item.alias or item.name
         if catalog.has_view(item.name):
             prepared = self._context.prepare_subquery(
-                catalog.view(item.name), self._parent_scope, facts=self._facts
+                catalog.view(item.name), self._parent_scope
             )
             return PreparedSource(prepared, binding)
-        table = catalog.table(item.name)
-        if self._facts is not None:
-            proven = self._facts.proven_not_null.get(item.name.lower())
-            if proven:
-                self._proven_bindings[binding.lower()] = proven
-        return TableSource(table, binding, typed=self._typed)
+        return TableSource(catalog.table(item.name), binding)
 
     def _plan_join(self, item: ast.Join) -> SourcePlan:
         left = self._plan_from_item(item.left)
         right = self._plan_from_item(item.right)
-        if item.join_type is ast.JoinType.LEFT:
-            # the right side is null-padded for unmatched left rows, so its
-            # schema-proven NOT NULL guarantees do not survive the join
-            for binding in right.bindings:
-                self._proven_bindings.pop(binding, None)
         key_pairs: list[tuple[BatchKernel, BatchKernel]] = []
         residual_parts: list[ast.Expression] = []
         if item.condition is not None:

@@ -10,7 +10,8 @@ planner's scans/joins and the cluster's post-merge evaluation all ride these
 kernels: there is one operator pipeline.  The row interpreter survives as a
 kernel compiler, :class:`RowOracleCompiler`, whose kernels call it once per
 batch row — the independent evaluator the differential tests compare the
-batch kernels against.
+batch kernels against; :class:`GenericKernelCompiler` likewise isolates the
+generic kernels from their typed specializations.
 
 Semantics are bit-identical to the row interpreter: three-valued logic,
 NULL propagation, SQL comparison coercion (via the shared
@@ -29,18 +30,18 @@ uncorrelated-cache lookup either way, and correlated sub-queries are
 inherently row-at-a-time.
 
 On top of the generic object-list kernels sits the **typed specialization
-layer** (``REPRO_ENGINE_TYPED``, default on): where a base-table column is
-provably type-stable (:mod:`repro.engine.columns`), numeric comparison /
-arithmetic / BETWEEN / IN-list kernels are code-generated as tight loops
-over ``array('q')`` / ``array('d')`` payloads — no ``sql_compare`` coercion,
-no per-element type guard — with a null-aware variant when the column
-carries a null set, and date-vs-literal comparisons reduced to integer
-day-ordinal comparisons.  Every specialized kernel keeps its generic twin
-and falls back *per batch* whenever a referenced column is not typed (join
-intermediates, post-UDF values, mixed-type columns), so semantics never
-depend on the data.  Filter compaction is selection-index based:
-:meth:`RowBatch.filter` produces an index view over the shared payload
-instead of rebuilding row-tuple lists between conjuncts.
+layer**: where a base-table column is provably type-stable
+(:mod:`repro.engine.columns`), numeric comparison / arithmetic / BETWEEN /
+IN-list kernels are code-generated as tight loops over ``array('q')`` /
+``array('d')`` payloads — no ``sql_compare`` coercion, no per-element type
+guard — with a null-aware variant when the column carries a null set, and
+date-vs-literal comparisons reduced to integer day-ordinal comparisons.
+Every specialized kernel keeps its generic twin and falls back *per batch*
+whenever a referenced column is not typed (join intermediates, post-UDF
+values, mixed-type columns), so semantics never depend on the data.  Filter
+compaction is selection-index based: :meth:`RowBatch.filter` produces an
+index view over the shared payload instead of rebuilding row-tuple lists
+between conjuncts.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ from .expressions import (
     _date_arithmetic,
     _like_regex,
 )
+
+#: rows per batch unless a :class:`~repro.engine.database.Database` is
+#: constructed with another ``batch_size``
+DEFAULT_BATCH_SIZE = 1024
 
 #: a compiled batch kernel: one call evaluates a node over a whole batch
 BatchKernel = Callable[["RowBatch", tuple], list]
@@ -263,27 +268,20 @@ class BatchExpressionCompiler:
     need ``prepare_subquery`` because they compile through the row
     interpreter (see the module docstring).
 
-    When the context exposes an engine database with typed columns enabled
-    (``context.database.vector.typed``), eligible kernels are additionally
-    compiled with a typed fast path and per-batch generic fallback; contexts
-    without a database (e.g. the cluster's ``MergeCompiler``, whose rows
-    never come from a base table) compile pure-generic kernels.
+    When the context exposes an engine database (``context.database``),
+    eligible kernels are additionally compiled with a typed fast path and
+    per-batch generic fallback, tallied in the database's
+    :class:`~repro.result.KernelCounters`; contexts without a database
+    (e.g. the cluster's ``MergeCompiler``, whose rows never come from a base
+    table) compile pure-generic kernels.
     """
 
     def __init__(self, scope: Scope, context) -> None:
         self.scope = scope
         self.context = context
         database = getattr(context, "database", None)
-        vector = getattr(database, "vector", None) if database is not None else None
-        if vector is not None and getattr(vector, "typed", False):
-            self._typed = True
-            self._kernels = database.stats.kernels
-        else:
-            self._typed = False
-            self._kernels = None
-        # slots the static analyzer proved NOT NULL (repro.compile.typecheck):
-        # typed kernels over only-proven slots skip null-set collection
-        self._proven: frozenset = getattr(scope, "proven", frozenset())
+        self._kernels = database.stats.kernels if database is not None else None
+        self._typed = self._kernels is not None
 
     # -- public API ---------------------------------------------------------
 
@@ -828,35 +826,12 @@ class BatchExpressionCompiler:
     def _typed_numeric_kernel(
         self, plan: "_TypedPlan", generic: BatchKernel
     ) -> BatchKernel:
-        """Wrap a typed plan with the per-batch numeric guard + fallback.
-
-        When every referenced slot is analyzer-proven NOT NULL the kernel
-        skips null-set collection entirely — no per-column ``nulls`` check,
-        never the null-aware loop — and counts as a *proven* dispatch.
-        """
+        """Wrap a typed plan with the per-batch numeric guard + fallback."""
         slots = plan.slots
         dense = plan.dense
         selected = plan.selected
         nullaware = plan.nullaware
         counters = self._kernels
-        proven = self._proven
-        if proven and all(slot in proven for slot in slots):
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                payloads = []
-                for slot in slots:
-                    typed = batch.typed_column(slot)
-                    if typed is None or typed.kind not in NUMERIC_KINDS:
-                        counters.generic += 1
-                        return generic(batch, outers)
-                    payloads.append(typed.values)
-                counters.proven += 1
-                sel = batch.sel
-                if sel is None:
-                    return dense(*payloads)
-                return selected(*payloads, sel)
-
-            return proven_kernel
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             payloads = []
@@ -929,21 +904,6 @@ class BatchExpressionCompiler:
             py_op = _MIRRORED_OPS[py_op]
         const_days = const.value.days
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind != "date":
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if sel is None:
-                    return [py_op(value, const_days) for value in values]
-                return [py_op(values[i], const_days) for i in sel]
-
-            return proven_kernel
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
@@ -1008,27 +968,6 @@ class BatchExpressionCompiler:
     ) -> BatchKernel:
         """``date_column BETWEEN DATE-literals`` over day ordinals."""
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind != "date":
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if sel is None:
-                    if negated:
-                        return [
-                            not (low_days <= value <= high_days) for value in values
-                        ]
-                    return [low_days <= value <= high_days for value in values]
-                if negated:
-                    return [not (low_days <= values[i] <= high_days) for i in sel]
-                return [low_days <= values[i] <= high_days for i in sel]
-
-            return proven_kernel
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
@@ -1073,29 +1012,6 @@ class BatchExpressionCompiler:
     ) -> BatchKernel:
         """Typed set-membership for a numeric column against numeric literals."""
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind not in NUMERIC_KINDS:
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if not saw_null:
-                    if sel is None:
-                        return [(value in members) != negated for value in values]
-                    return [(values[i] in members) != negated for i in sel]
-                if sel is None:
-                    return [
-                        (not negated) if value in members else None for value in values
-                    ]
-                return [
-                    (not negated) if values[i] in members else None for i in sel
-                ]
-
-            return proven_kernel
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
@@ -1126,6 +1042,20 @@ class BatchExpressionCompiler:
             return out
 
         return kernel
+
+
+class GenericKernelCompiler(BatchExpressionCompiler):
+    """The generic object-list kernels alone (a test oracle).
+
+    Compiles exactly the kernels :class:`BatchExpressionCompiler` keeps as
+    its per-batch fallback and never a typed specialization, so comparing
+    the two checks the typed layer against its own fallback.  Select it per
+    database like :class:`RowOracleCompiler`.
+    """
+
+    def __init__(self, scope: Scope, context) -> None:
+        super().__init__(scope, context)
+        self._typed = False
 
 
 class RowOracleCompiler(BatchExpressionCompiler):

@@ -228,43 +228,40 @@ class KernelCounters:
     Every specialization-capable batch kernel bumps ``typed`` when it ran a
     :class:`~repro.engine.columns.TypedColumn` fast path and ``generic``
     when it fell back to the object-list loop, so ``explain(analyze=True)``
-    can show *why* an operator was fast.  ``proven`` counts the subset of
-    typed dispatches that additionally skipped all null handling because the
-    static analyzer *proved* every referenced column NOT NULL at compile
-    time (see ``docs/typecheck.md``).  Increments are plain (unlocked)
+    can show *why* an operator was fast.  Increments are plain (unlocked)
     ``+= 1`` on the hot path; under concurrent sessions the tallies are
     best-effort, which is fine for a profiling aid.
     """
 
-    __slots__ = ("typed", "generic", "proven")
+    __slots__ = ("typed", "generic")
 
     def __init__(self) -> None:
         self.typed = 0
         self.generic = 0
-        self.proven = 0
 
     def snapshot(self) -> tuple[int, int, int]:
-        """The current ``(typed, generic, proven)`` triple (for deltas)."""
-        return (self.typed, self.generic, self.proven)
+        """The current ``(typed, generic, 0)`` triple (for deltas)."""
+        # the third slot once held a proven-kernel tally; consumers still unpack three
+        return (self.typed, self.generic, 0)
 
     def reset(self) -> None:
         """Zero all tallies **in place** (compiled kernels keep references
         to this object, so it must never be replaced wholesale)."""
         self.typed = 0
         self.generic = 0
-        self.proven = 0
 
 
 @dataclass
 class OperatorProfile:
     """Accumulated execution profile of one plan operator.
 
-    Filled by the engine's executor as batches (or rows, in row-at-a-time
-    mode) flow through an operator; rendered by ``MTConnection.explain()``
-    next to the compile-side per-pass timings so compile cost and execution
-    cost are separable at a glance.  ``typed_kernels`` / ``generic_kernels``
-    count specialization-capable kernel evaluations attributed to the
-    operator's stage (both stay 0 in row-at-a-time mode).
+    Filled by the engine's executor as batches flow through an operator;
+    rendered by ``MTConnection.explain()`` next to the compile-side
+    per-pass timings so compile cost and execution cost are separable at a
+    glance.  ``typed_kernels`` / ``generic_kernels`` count
+    specialization-capable kernel evaluations attributed to the operator's
+    stage (both stay 0 under a test-only kernel compiler that builds no
+    specialization-capable kernels).
     """
 
     operator: str
@@ -273,7 +270,6 @@ class OperatorProfile:
     seconds: float = 0.0
     typed_kernels: int = 0
     generic_kernels: int = 0
-    proven_kernels: int = 0
 
     @property
     def rows_per_batch(self) -> float:
@@ -288,10 +284,10 @@ class OperatorProfile:
             f"{self.operator}: {self.rows} rows in {self.batches} batches "
             f"(avg {self.rows_per_batch:.1f} rows/batch, {self.seconds * 1000:.3f} ms)"
         )
-        if self.typed_kernels or self.generic_kernels or self.proven_kernels:
+        if self.typed_kernels or self.generic_kernels:
             line += (
                 f", kernels typed={self.typed_kernels} "
-                f"generic={self.generic_kernels} proven={self.proven_kernels}"
+                f"generic={self.generic_kernels}"
             )
         return line
 
@@ -345,14 +341,13 @@ class ExecutionStats:
         batches: int = 1,
         typed_kernels: int = 0,
         generic_kernels: int = 0,
-        proven_kernels: int = 0,
     ) -> None:
         """Fold one measurement into an operator's profile.
 
         ``batches`` carries the number of bounded windows the operator
-        consumed (1 for row-at-a-time or single-batch stages);
-        ``typed_kernels`` / ``generic_kernels`` / ``proven_kernels`` the
-        kernel-dispatch deltas attributed to this stage.
+        consumed (1 for single-batch stages); ``typed_kernels`` /
+        ``generic_kernels`` the kernel-dispatch deltas attributed to this
+        stage.
         """
         with self._lock:
             profile = self.operator_profiles.get(operator)
@@ -364,7 +359,6 @@ class ExecutionStats:
             profile.seconds += seconds
             profile.typed_kernels += typed_kernels
             profile.generic_kernels += generic_kernels
-            profile.proven_kernels += proven_kernels
 
     def operator_snapshot(self) -> list[OperatorProfile]:
         """A point-in-time copy of the operator profiles (insertion order)."""
@@ -377,7 +371,6 @@ class ExecutionStats:
                     seconds=profile.seconds,
                     typed_kernels=profile.typed_kernels,
                     generic_kernels=profile.generic_kernels,
-                    proven_kernels=profile.proven_kernels,
                 )
                 for profile in self.operator_profiles.values()
             ]

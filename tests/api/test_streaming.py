@@ -1,7 +1,7 @@
 """Streaming acceptance: first rows without materializing the result set.
 
 The proof strategy is a counting UDF in the SELECT list: the projection runs
-once per row of a *pulled batch* (``REPRO_ENGINE_BATCH`` rows at a time), so
+once per row of a *pulled batch* (``batch_size`` rows at a time), so
 if ``fetchmany`` returns the first rows while the counter is at most one
 batch — far below the table's row count — the backend demonstrably did not
 materialize the result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
@@ -16,6 +16,7 @@ import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend, SQLiteBackend
+from repro.engine import Database
 from repro.errors import ExecutionError
 from repro.result import QueryResult, RowStream
 
@@ -44,9 +45,8 @@ def _loaded(connection) -> None:
 BATCH = 64
 
 
-def test_engine_fetchmany_is_batch_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", str(BATCH))
-    backend = EngineBackend()
+def test_engine_fetchmany_is_batch_bounded():
+    backend = EngineBackend(database=Database(batch_size=BATCH))
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:
@@ -61,9 +61,8 @@ def test_engine_fetchmany_is_batch_bounded(monkeypatch):
         assert cursor.rowcount == ROWS
 
 
-def test_engine_limit_stops_the_pull_early(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", str(BATCH))
-    backend = EngineBackend()
+def test_engine_limit_stops_the_pull_early():
+    backend = EngineBackend(database=Database(batch_size=BATCH))
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:

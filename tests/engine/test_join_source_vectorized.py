@@ -14,21 +14,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Database, RowOracleCompiler, VectorConfig
+from repro.engine import Database, GenericKernelCompiler, RowOracleCompiler
 from repro.errors import ExecutionError
 
 #: small batch so multi-batch behaviour is exercised by the larger fixtures
 BATCH = 4
 
+#: kernel compiler per mode (``None`` = the typed default)
 MODES = {
-    "typed": (VectorConfig(batch_size=BATCH, typed=True), None),
-    "generic": (VectorConfig(batch_size=BATCH, typed=False), None),
-    "row": (VectorConfig(batch_size=BATCH), RowOracleCompiler),
+    "typed": None,
+    "generic": GenericKernelCompiler,
+    "row": RowOracleCompiler,
 }
 
 
-def _load(vector: VectorConfig, compiler) -> Database:
-    db = Database(vector=vector)
+def _load(compiler) -> Database:
+    db = Database(batch_size=BATCH)
     if compiler is not None:
         db.kernel_compiler = compiler
     db.execute(
@@ -67,7 +68,7 @@ def _load(vector: VectorConfig, compiler) -> Database:
 
 @pytest.fixture(scope="module")
 def databases() -> dict[str, Database]:
-    return {name: _load(*mode) for name, mode in MODES.items()}
+    return {name: _load(compiler) for name, compiler in MODES.items()}
 
 
 def _all_modes(databases, sql: str):

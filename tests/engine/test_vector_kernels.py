@@ -1,12 +1,11 @@
-"""Unit tests pinning the batch kernels' semantics and configuration.
+"""Unit tests pinning the batch kernels' semantics.
 
 The differential suite proves the batch kernels equal the row oracle
 (:class:`~repro.engine.vector.RowOracleCompiler`) on whole MT-H queries;
 these tests pin the *local* contracts that proof rests on: three-valued
 logic inside batch kernels, NULL-skipping batch aggregation, memo-batched
-conversion-UDF dispatch with exact counter parity, the strict
-``REPRO_ENGINE_*`` knob validation, and the batch-bounded streaming
-guarantee (LIMIT + ``fetchmany`` consume at most one extra batch).
+conversion-UDF dispatch with exact counter parity, and the batch-bounded
+streaming guarantee (LIMIT + ``fetchmany`` consume at most one extra batch).
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend
-from repro.engine import Database, RowOracleCompiler, VectorConfig
-from repro.engine.config import env_batch_size
-from repro.errors import ConfigurationError
+from repro.engine import Database, RowOracleCompiler
 
 
 def _db(row_oracle: bool = False, batch_size: int = 4, profile: str = "postgres"):
-    db = Database(profile, vector=VectorConfig(batch_size=batch_size))
+    db = Database(profile, batch_size=batch_size)
     if row_oracle:
         db.kernel_compiler = RowOracleCompiler
     return db
@@ -191,30 +188,6 @@ def test_system_c_profile_never_caches():
 
 
 # ---------------------------------------------------------------------------
-# configuration knobs
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bad", ["x", "0", "-3", "1.5"])
-def test_env_batch_size_rejects_malformed_values(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", bad)
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_BATCH"):
-        env_batch_size()
-
-
-def test_vector_config_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", "256")
-    monkeypatch.setenv("REPRO_ENGINE_TYPED", "0")
-    config = VectorConfig.from_env()
-    assert config == VectorConfig(batch_size=256, typed=False)
-    monkeypatch.setenv("REPRO_ENGINE_TYPED", "1")
-    assert VectorConfig.from_env().typed is True
-    # keyword overrides win over the environment
-    assert VectorConfig.from_env(batch_size=8).batch_size == 8
-    assert VectorConfig.from_env(typed=False).typed is False
-
-
-# ---------------------------------------------------------------------------
 # operator profiles
 # ---------------------------------------------------------------------------
 
@@ -254,9 +227,7 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
     """The streaming contract: a pull of N rows evaluates at most the
     batches spanning those N rows — never the whole table."""
     batch = 32
-    backend = EngineBackend(
-        database=Database(vector=VectorConfig(batch_size=batch))
-    )
+    backend = EngineBackend(database=Database(batch_size=batch))
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:
