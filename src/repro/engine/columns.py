@@ -5,9 +5,11 @@ Python object lists and pay a per-element type guard (or a full
 ``sql_compare`` coercion) on every value.  Where a column's type is
 *provably stable* the engine can do better, MonetDB/X100 style: store the
 column once as a compact typed payload — an ``array('q')`` of integers, an
-``array('d')`` of floats, an ``array('q')`` of day ordinals for dates, or a
-plain string list — plus an explicit null index set, and run specialized
-kernels that skip the per-value checks entirely.
+``array('d')`` of floats or an ``array('q')`` of day ordinals for dates —
+plus an explicit null index set, and run specialized kernels that skip the
+per-value checks entirely.  Payloads feed those kernels only: object
+columns always come from :meth:`repro.engine.storage.Table.column_array`,
+and ``VARCHAR`` columns are never typed (no kernel reads a string payload).
 
 Stability is *observed*, not assumed: :func:`build_typed_column` checks
 every stored value against the declared :class:`~repro.sql.types.SQLType`
@@ -51,15 +53,14 @@ class TypedColumn:
     * ``"int"``   — ``values`` is an ``array('q')``; NULL slots hold ``0``,
     * ``"float"`` — ``values`` is an ``array('d')``; NULL slots hold ``0.0``,
     * ``"date"``  — ``values`` is an ``array('q')`` of day ordinals
-      (:attr:`repro.sql.types.Date.days`); NULL slots hold ``0``,
-    * ``"str"``   — ``values`` is the object list itself (strings and
-      ``None``), kept by reference for zero-copy column access.
+      (:attr:`repro.sql.types.Date.days`); NULL slots hold ``0``.
 
     ``nulls`` is a ``frozenset`` of payload positions holding SQL NULL, or
     ``None`` for a null-free column — the "null bitmap" of the typed layer.
     Specialized kernels index ``values`` directly and consult ``nulls``
     only when present, so the null-free hot path runs with no per-element
-    branching beyond the operator itself.
+    branching beyond the operator itself.  A payload is never handed out
+    as an object column.
     """
 
     __slots__ = ("kind", "values", "nulls")
@@ -74,27 +75,6 @@ class TypedColumn:
         self.values = values
         self.nulls = nulls
 
-    @property
-    def null_free(self) -> bool:
-        """Whether the column holds no SQL NULL at all."""
-        return self.nulls is None
-
-    def object_values(self):
-        """The payload *as the object column*, or ``None`` when they differ.
-
-        A ``"str"`` payload and a null-free numeric payload can serve
-        directly as the column array handed to generic kernels (iteration
-        yields exactly the stored objects).  Numeric payloads **with**
-        nulls pad the NULL slots with ``0``, and date payloads hold day
-        ordinals instead of :class:`~repro.sql.types.Date` objects — both
-        return ``None`` so callers gather objects the generic way.
-        """
-        if self.kind == "str":
-            return self.values
-        if self.kind in NUMERIC_KINDS and self.nulls is None:
-            return self.values
-        return None
-
 
 def build_typed_column(sql_type: SQLType, values: Sequence) -> Optional[TypedColumn]:
     """Build a :class:`TypedColumn` for observed ``values``, or refuse.
@@ -103,7 +83,8 @@ def build_typed_column(sql_type: SQLType, values: Sequence) -> Optional[TypedCol
     then verified against it (exact ``type`` checks, not ``isinstance``, so
     ``bool`` never masquerades as ``int`` and subclasses cannot change
     round-trip behaviour).  Any mismatch returns ``None`` — the column is
-    not provably stable and stays on the generic object-list path.
+    not provably stable and stays on the generic object-list path.  So does
+    every type no typed kernel reads (``VARCHAR`` among them).
     """
     if sql_type is SQLType.INTEGER:
         return _build_numeric(values, int, "q", "int")
@@ -111,8 +92,6 @@ def build_typed_column(sql_type: SQLType, values: Sequence) -> Optional[TypedCol
         return _build_numeric(values, float, "d", "float")
     if sql_type is SQLType.DATE:
         return _build_date(values)
-    if sql_type is SQLType.VARCHAR:
-        return _build_str(values)
     return None
 
 
@@ -161,15 +140,3 @@ def _build_date(values: Sequence) -> Optional[TypedColumn]:
         else:
             return None
     return TypedColumn("date", payload, frozenset(nulls) if nulls else None)
-
-
-def _build_str(values: Sequence) -> Optional[TypedColumn]:
-    """Zero-copy string payload (the object list itself) with a null set."""
-    nulls: list[int] = []
-    for position, value in enumerate(values):
-        if value is None:
-            nulls.append(position)
-        elif type(value) is not str:
-            return None
-    payload = values if isinstance(values, list) else list(values)
-    return TypedColumn("str", payload, frozenset(nulls) if nulls else None)

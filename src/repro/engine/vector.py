@@ -31,11 +31,12 @@ inherently row-at-a-time.
 
 On top of the generic object-list kernels sits the **typed specialization
 layer**: where a base-table column is provably type-stable
-(:mod:`repro.engine.columns`), numeric comparison / arithmetic / BETWEEN /
-IN-list kernels are code-generated as tight loops over ``array('q')`` /
+(:mod:`repro.engine.columns`), numeric comparison / arithmetic / BETWEEN
+kernels are code-generated as tight loops over ``array('q')`` /
 ``array('d')`` payloads — no ``sql_compare`` coercion, no per-element type
 guard — with a null-aware variant when the column carries a null set, and
-date-vs-literal comparisons reduced to integer day-ordinal comparisons.
+date-vs-literal comparisons and BETWEENs reduced to integer day-ordinal
+comparisons.  IN-lists stay on the generic set-membership kernel.
 Every specialized kernel keeps its generic twin and falls back *per batch*
 whenever a referenced column is not typed (join intermediates, post-UDF
 values, mixed-type columns), so semantics never depend on the data.  Filter
@@ -79,12 +80,12 @@ class RowBatch:
     consumer actually asks for them.
 
     Columns materialize on first access via :meth:`column` — from the
-    ``typed_source`` payload when it is zero-copy usable, from the table's
-    version-cached object columns (``col_source``), or by gathering
-    ``row[index]``.  Specialized kernels bypass the object columns entirely
-    through :meth:`typed_column` + :attr:`sel`.  Invariant: a batch with
-    sources and ``sel is None`` spans its table payload *in full, in payload
-    order* (windows and filters over it always carry a selection).
+    table's version-cached object columns (``col_source``) or by gathering
+    ``row[index]``.  Specialized kernels read typed payloads instead,
+    through :meth:`typed_column` + :attr:`sel`; a payload never serves as
+    an object column.  Invariant: a batch with sources and ``sel is None``
+    spans its table payload *in full, in payload order* (windows and
+    filters over it always carry a selection).
     """
 
     __slots__ = ("n", "_rows", "_mat", "_sel", "_cols", "_col_source", "_typed_source")
@@ -137,24 +138,17 @@ class RowBatch:
     def column(self, index: int) -> Sequence[Any]:
         """The column array for slot ``index`` (gathered once, then cached).
 
-        Resolution order: typed payload when its elements *are* the objects
-        (strings, null-free numerics), then the table's cached object
-        column, then the row tuples — selections gather through their index
-        array either way.
+        Resolution order: the table's version-cached object column
+        (``col_source``), else the row tuples — selections gather through
+        their index array either way.  Typed payloads never serve here:
+        they feed the specialized kernels only.
         """
         col = self._cols.get(index)
         if col is not None:
             return col
         sel = self._sel
-        typed = self._typed_source
-        payload = None
-        if typed is not None:
-            typed_col = typed(index)
-            if typed_col is not None:
-                payload = typed_col.object_values()
-        if payload is None and self._col_source is not None:
+        if self._col_source is not None:
             payload = self._col_source(index)
-        if payload is not None:
             col = payload if sel is None else [payload[i] for i in sel]
         elif sel is None:
             col = [row[index] for row in self._rows]
@@ -519,28 +513,21 @@ class BatchExpressionCompiler:
         family = _value_family(present)
         if family is not None:
             members = set(present)
+            hit = not negated
+            miss = None if saw_null else negated
 
             def fast(batch: RowBatch, outers: tuple) -> list:
-                out = []
-                append = out.append
-                for value in value_k(batch, outers):
-                    if value is None:
-                        append(None)
-                    elif type(value) in family:
-                        if value in members:
-                            append(not negated)
-                        elif saw_null:
-                            append(None)
-                        else:
-                            append(negated)
-                    else:
-                        append(_in_list_slow(value, items, negated))
-                return out
+                # family members first (the common case); NULL's type is in
+                # no family, so it reaches the second test
+                return [
+                    (hit if value in members else miss)
+                    if type(value) in family
+                    else None
+                    if value is None
+                    else _in_list_slow(value, items, negated)
+                    for value in value_k(batch, outers)
+                ]
 
-            if self._typed and family == (int, float):
-                slot = self._depth0_slot(expr.expr)
-                if slot is not None:
-                    return self._typed_inlist(slot, members, saw_null, negated, fast)
             return fast
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
@@ -999,47 +986,6 @@ class BatchExpressionCompiler:
                 None if i in nulls else (low_days <= values[i] <= high_days)
                 for i in sel
             ]
-
-        return kernel
-
-    def _typed_inlist(
-        self,
-        slot: int,
-        members: set,
-        saw_null: bool,
-        negated: bool,
-        generic: BatchKernel,
-    ) -> BatchKernel:
-        """Typed set-membership for a numeric column against numeric literals."""
-        counters = self._kernels
-
-        def kernel(batch: RowBatch, outers: tuple) -> list:
-            typed = batch.typed_column(slot)
-            if typed is None or typed.kind not in NUMERIC_KINDS:
-                counters.generic += 1
-                return generic(batch, outers)
-            counters.typed += 1
-            values = typed.values
-            sel = batch.sel
-            nulls = typed.nulls
-            if nulls is None and not saw_null:
-                if sel is None:
-                    return [(value in members) != negated for value in values]
-                return [(values[i] in members) != negated for i in sel]
-            if sel is None:
-                sel = range(batch.n)
-            out = []
-            append = out.append
-            for i in sel:
-                if nulls is not None and i in nulls:
-                    append(None)
-                elif values[i] in members:
-                    append(not negated)
-                elif saw_null:
-                    append(None)
-                else:
-                    append(negated)
-            return out
 
         return kernel
 

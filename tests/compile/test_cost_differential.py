@@ -183,3 +183,30 @@ def test_prefilters_reduce_pulled_volume(cost_grid):
             f"Q{query_id}: costed pull ships {costed[1]} cells, uncosted "
             f"{uncosted[1]} — expected a strict reduction"
         )
+
+
+def test_federated_pulls_repeat_for_a_repeated_query_order(cost_grid):
+    """Pull volume is a function of the statement order, not drifting state.
+
+    The scratch copy reuses a table pulled by an earlier statement when that
+    pull covers the later request, so what a federated query pulls depends
+    on what ran before it.  From a cleared scratch copy the same order must
+    pull exactly the same rows and cells, query by query.
+    """
+    _scenario, clusters = cost_grid
+    cluster = clusters[2]
+    sharded = cluster.middleware.backend
+    connection = _connection(cluster, DATASETS["all"])
+
+    def pulls() -> list[tuple[int, int]]:
+        sharded._scratch_state.clear()
+        volumes = []
+        for query_id in sorted(FEDERATED_QUERY_IDS):
+            sharded.reset_pull_counters()
+            connection.query(query_text(query_id))
+            volumes.append((sharded.rows_pulled, sharded.cells_pulled))
+        return volumes
+
+    first = pulls()
+    assert sum(rows for rows, _cells in first) > 0
+    assert pulls() == first, first
