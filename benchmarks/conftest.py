@@ -8,84 +8,17 @@ micro scale factor and a representative subset of queries; set
 * ``REPRO_BENCH_FULL`` — ``1`` to run all 22 queries and all six levels,
 
 to run the full grids (slower, but exactly the paper's tables).
-
-``--bench-json=PATH`` (or ``REPRO_BENCH_JSON=PATH``) additionally writes a
-machine-readable summary at session end: one record per benchmarked query
-with its median timing in milliseconds plus whatever the module attached to
-``benchmark.extra_info`` (speedup ratios, per-mode timings, ...).  CI and
-tracking scripts diff these files across commits instead of scraping the
-terminal table.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.bench.tables import TABLE_CONFIGS, time_query
-from repro.bench.workload import (
-    WorkloadConfig,
-    env_full,
-    env_json,
-    env_scale_factor,
-    load_workload,
-)
+from repro.bench.workload import WorkloadConfig, env_full, load_workload
 from repro.mth.queries import ALL_QUERY_IDS, query_text
 
 FULL = env_full()
-
-#: records accumulated by :func:`record_benchmark`, flushed at session end
-_BENCH_RECORDS: list[dict] = []
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help="write per-query median timings as JSON to PATH "
-        "(REPRO_BENCH_JSON=PATH is the environment equivalent)",
-    )
-
-
-def _bench_json_path(config) -> str | None:
-    return config.getoption("--bench-json", default=None) or env_json()
-
-
-def record_benchmark(benchmark, name: str, **fields) -> None:
-    """Add one JSON record for a completed ``benchmark`` run.
-
-    ``median_ms`` comes from pytest-benchmark's own statistics for the
-    measured unit; ``fields`` label the cell (query id, level, mode) and
-    ``benchmark.extra_info`` rides along verbatim.  Harmless no-op when the
-    benchmark never ran (skipped cell) or JSON output is not requested —
-    the list is simply never flushed.
-    """
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    record = dict(fields)
-    record["name"] = name
-    if stats is not None:
-        record["median_ms"] = round(stats.median * 1000.0, 4)
-        record["rounds"] = len(stats.data)
-    if benchmark.extra_info:
-        record["extra_info"] = dict(benchmark.extra_info)
-    _BENCH_RECORDS.append(record)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = _bench_json_path(session.config)
-    if not path or not _BENCH_RECORDS:
-        return
-    payload = {
-        "full": FULL,
-        "scale_factor": env_scale_factor(default=None),
-        "records": _BENCH_RECORDS,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 #: representative queries: conversion heavy (1, 6, 22), join heavy (3, 10),
 #: global-table only (11), CASE/aggregation (14)
@@ -111,7 +44,6 @@ def run_mth_query(benchmark, workload, spec, level: str, query_id: int) -> None:
     text = query_text(query_id)
     workload.reset_caches()
     benchmark.pedantic(lambda: connection.query(text), rounds=1, iterations=1, warmup_rounds=0)
-    record_benchmark(benchmark, "mth", query=query_id, level=level)
 
 
 def run_baseline_query(benchmark, workload, query_id: int) -> None:
@@ -120,7 +52,6 @@ def run_baseline_query(benchmark, workload, query_id: int) -> None:
     benchmark.pedantic(
         lambda: workload.baseline.query(text), rounds=1, iterations=1, warmup_rounds=0
     )
-    record_benchmark(benchmark, "baseline", query=query_id)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,6 @@ and reports:
 * aggregate **throughput** and the **p50/p95/p99** client-observed latency,
 * **shed/timeout counts** from the admission controller (overload answers
   are structured and retryable, so clients back off and retry),
-* the same statement load pushed through the in-process thread-pool
-  :class:`~repro.gateway.ConcurrentExecutor` as the reference point
-  (``extra_info`` carries both sides),
 * that incremental FETCH keeps client-side memory **bounded** while
   draining a result far larger than any one batch.
 
@@ -27,7 +24,7 @@ import tracemalloc
 import pytest
 
 from repro.bench.workload import env_full, env_scale_factor
-from repro.gateway import ConcurrentExecutor, summarize
+from repro.gateway import summarize
 from repro.errors import ServerBusyError
 from repro.mth.loader import load_mth
 from repro.server import ReproServer, ServerConfig, SyncSession
@@ -62,15 +59,6 @@ def bindings(index: int) -> tuple[str, tuple]:
     return Q1, (15 + index % 15,)
 
 
-def literal_statement(index: int) -> str:
-    """The same statement with its bindings inlined (the thread-pool
-    executor's batch API takes bare statement text)."""
-    sql, parameters = bindings(index)
-    for value in parameters:
-        sql = sql.replace("?", repr(value), 1)
-    return sql
-
-
 @pytest.fixture(scope="module")
 def mth():
     return load_mth(scale_factor=SCALE, tenants=TENANTS, distribution="uniform")
@@ -84,7 +72,7 @@ def gateway(mth):
 
 
 def test_network_throughput_vs_thread_pool(benchmark, mth, gateway):
-    """The headline numbers: network tier vs in-process thread pool."""
+    """The headline numbers: throughput and tail latency of the network tier."""
     config = ServerConfig(concurrency=8, queue_depth=32, workers=8,
                           request_timeout=60.0)
     server = ReproServer(gateway, config=config).start()
@@ -138,17 +126,6 @@ def test_network_throughput_vs_thread_pool(benchmark, mth, gateway):
     summary = summarize(latencies)
     snapshot = server.admission_snapshot()
 
-    # reference: the same statement mix through the in-process thread pool
-    batches = []
-    for index in range(min(CONNECTIONS, 16)):
-        statements = [literal_statement(index + r) for r in range(REQUESTS_EACH)]
-        batches.append(
-            (gateway.session(1 + index % TENANTS, optimization="o4"), statements)
-        )
-    pool_report = ConcurrentExecutor(max_workers=8).run(batches)
-    for session, _ in batches:
-        session.close()
-
     benchmark.extra_info.update(
         {
             "connections": CONNECTIONS,
@@ -161,8 +138,6 @@ def test_network_throughput_vs_thread_pool(benchmark, mth, gateway):
             "timeouts": server.timeouts,
             "peak_in_flight": snapshot.load.peak_in_flight,
             "peak_queued": snapshot.load.peak_queued,
-            "thread_pool_rps": round(pool_report.throughput, 1),
-            "thread_pool_p95_ms": round(pool_report.latency.p95 * 1e3, 2),
         }
     )
     server.stop()

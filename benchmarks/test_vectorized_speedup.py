@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from conftest import record_benchmark
 from repro.bench.workload import WorkloadConfig, load_workload
 from repro.engine import (
     BatchExpressionCompiler,
@@ -94,4 +93,3 @@ def test_vectorized_speedup(benchmark, workload, query_id):
     # ... and typed kernels over the generic batch kernels (this PR's win)
     benchmark.extra_info["typed_speedup"] = _ratio(generic_seconds, typed_seconds)
     benchmark.extra_info["speedup"] = _ratio(row_seconds, typed_seconds)
-    record_benchmark(benchmark, "vectorized-speedup", query=query_id)

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Serving demo: N concurrent tenant sessions through the query gateway.
+"""Serving demo: N tenant sessions through the query gateway.
 
 Loads a micro MT-H instance, opens one gateway session per tenant plus a
-cross-tenant "research" session, and pushes two rounds of a mixed query
-workload through the concurrent executor:
+cross-tenant "research" session, and runs rounds of a mixed query workload
+through every session in turn:
 
-* round 1 is cold — every statement pays parse + rewrite + optimization,
-* round 2 is warm — the rewrite cache serves every statement.
+* the first round is cold — every statement pays parse + rewrite +
+  optimization,
+* the later rounds are warm — the rewrite cache serves every statement.
 
-The script prints per-round throughput/latency and the cache hit rate, and
-verifies that warm results equal the cold ones.
+The script prints per-round latency and the cache hit rate, and verifies
+that warm results equal the cold ones.  Concurrent serving over the network
+is ``examples/network_serving.py``.
 
 Run with ``PYTHONPATH=src python examples/gateway_serving.py``; pass
 ``--backend sqlite`` to serve the workload from the SQLite execution backend
@@ -17,9 +19,11 @@ instead of the in-memory engine.
 """
 
 import argparse
+import time
 
 from repro.backends import BACKEND_NAMES
 from repro.bench.workload import WorkloadConfig, load_workload
+from repro.gateway import summarize
 from repro.mth.queries import query_text
 
 TENANTS = 4
@@ -49,6 +53,17 @@ def build_batches(gateway, tenants):
     return batches
 
 
+def run_round(batches):
+    """Run every batch once; return its per-statement rows and the summary."""
+    rows, latencies = [], []
+    for session, statements in batches:
+        for sql in statements:
+            started = time.perf_counter()
+            rows.append(session.query(sql).rows)
+            latencies.append(time.perf_counter() - started)
+    return rows, summarize(latencies)
+
+
 def main() -> None:
     args = parse_args()
     print(f"loading MT-H: sf={SCALE_FACTOR}, {TENANTS} tenants, backend={args.backend} ...")
@@ -65,25 +80,21 @@ def main() -> None:
     sessions = len(batches)
     backend = workload.backend
     print(
-        f"{sessions} sessions x {len(QUERY_IDS)} queries, O4, concurrent, "
+        f"{sessions} sessions x {len(QUERY_IDS)} queries, O4, "
         f"served by the {backend.name!r} backend ({backend.dialect.name} dialect)\n"
     )
 
-    cold = gateway.run_concurrent(batches)
+    cold_rows, cold = run_round(batches)
     print(f"cold (parse + rewrite + execute): {cold.describe()}")
 
-    # micro-scale rounds are scheduler-noisy; report the median of three warm
-    # rounds (benchmarks/test_ablation_gateway_cache.py has controlled numbers)
-    warm_rounds = [gateway.run_concurrent(batches) for _ in range(3)]
-    warm = sorted(warm_rounds, key=lambda report: report.latency.mean)[1]
+    # micro-scale rounds are noisy; report the median of three warm rounds
+    # (benchmarks/test_ablation_gateway_cache.py has controlled numbers)
+    warm_rounds = [run_round(batches) for _ in range(3)]
+    warm_rows, warm = sorted(warm_rounds, key=lambda round_: round_[1].mean)[1]
     print(f"warm (rewrite cache hits):        {warm.describe()}")
 
-    for session, _ in batches:
-        for first, second in zip(cold.outcomes_for(session), warm.outcomes_for(session)):
-            if first.error is not None or second.error is not None:
-                raise SystemExit(f"statement failed on {session!r}: {first.error or second.error}")
-            if first.result.rows != second.result.rows:
-                raise SystemExit(f"warm/cold mismatch on {session!r}: {first.statement[:60]}")
+    if warm_rows != cold_rows:
+        raise SystemExit("warm results differ from cold results")
     print("\nwarm results identical to cold results: ok")
 
     stats = gateway.cache_stats
@@ -92,9 +103,9 @@ def main() -> None:
         f"(hit rate {stats.hit_rate:.1%}), {stats.misses} misses, "
         f"{stats.evictions} evictions"
     )
-    speedup = cold.latency.mean / warm.latency.mean if warm.latency.mean else float("inf")
-    print(f"mean per-statement latency: cold {cold.latency.mean * 1e3:.2f}ms -> "
-          f"warm {warm.latency.mean * 1e3:.2f}ms ({speedup:.1f}x)")
+    speedup = cold.mean / warm.mean if warm.mean else float("inf")
+    print(f"mean per-statement latency: cold {cold.mean * 1e3:.2f}ms -> "
+          f"warm {warm.mean * 1e3:.2f}ms ({speedup:.1f}x)")
     for session in gateway.sessions:
         print(f"  {session!r}")
 

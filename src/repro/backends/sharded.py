@@ -258,13 +258,11 @@ class ShardedConnection(BackendConnection):
                 if plan is not None:
                     self.plan_reuses += 1
         if plan is None:
-            analysis = compiled.analysis if compiled is not None else None
-            facts = compiled.facts if compiled is not None else None
             plan = self.planner.plan(
                 statement,
                 shards,
-                analysis=analysis,
-                column_owners=facts.column_owners if facts is not None else None,
+                analysis=compiled.analysis if compiled is not None else None,
+                column_owners=compiled.facts.column_owners if compiled is not None else None,
             )
             if memo_key is not None:
                 with self._lock:

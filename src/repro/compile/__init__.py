@@ -58,7 +58,6 @@ from .typecheck import (
     TypeChecker,
     UDFSignature,
     check_parameter_values,
-    env_typecheck,
     schema_proven_not_null,
 )
 from .stats import (
@@ -109,7 +108,6 @@ __all__ = [
     "check_parameter_values",
     "collect_table_stats",
     "conversion_census",
-    "env_typecheck",
     "schema_proven_not_null",
     "derive_pull_columns",
     "derive_table_prefilters",

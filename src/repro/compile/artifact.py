@@ -131,11 +131,10 @@ class CompiledQuery:
     conversions: ConversionCensus
     #: total compilation wall time
     seconds: float
-    #: what the static semantic analyzer proved about the statement
-    #: (``None`` when the checker is disabled, ``REPRO_COMPILE_TYPECHECK=0``);
-    #: the cost model reads ``facts.proven_not_null``, the client checks bind
-    #: values against ``facts.parameter_types``
-    facts: Optional["SemanticFacts"] = field(default=None, repr=False, compare=False)
+    #: what the static semantic analyzer proved about the statement; the
+    #: cost model reads ``facts.proven_not_null``, the client and the gateway
+    #: check bind values against ``facts.parameter_types``
+    facts: "SemanticFacts" = field(repr=False, compare=False)
     #: backend-owned memo space for derived execution artifacts
     attachments: dict = field(default_factory=dict, repr=False, compare=False)
 

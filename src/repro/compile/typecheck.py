@@ -27,10 +27,7 @@ produces a :class:`SemanticFacts` artifact that travels on the
 * ``column_owners`` — which FROM binding each column reference of the
   *rewritten* statement resolves to; the shardability analysis consumes
   this instead of re-walking the AST with an any-binding heuristic,
-* ``parameter_types`` — inferred type per bind-parameter slot,
-* ``expression_types`` — the inferred type of every expression node of the
-  original statement (keyed by ``id(node)``; the artifact keeps the AST
-  alive).
+* ``parameter_types`` — inferred type per bind-parameter slot.
 
 The analyzer is *lenient by construction*: any relation, column or function
 it cannot see in the MT schema contributes "type unknown", and unknown
@@ -40,11 +37,10 @@ errors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..errors import ConfigurationError, TypeCheckError, TypeMismatchError
+from ..errors import TypeCheckError, TypeMismatchError
 from ..sql import ast
 from ..sql.types import (
     Date,
@@ -62,25 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 #: arithmetic operators checked against the numeric/date rules
 _ARITHMETIC = frozenset({"+", "-", "*", "/"})
-
-
-def env_typecheck() -> bool:
-    """Parse ``REPRO_COMPILE_TYPECHECK`` strictly (default: enabled).
-
-    ``"1"`` (or unset/empty) enables the prepare-time checker, ``"0"``
-    disables it — the escape hatch the CI matrix exercises; results must be
-    identical either way, only diagnostics, cost-model null fractions and
-    provenance reuse change.  Anything else raises :class:`ConfigurationError`.
-    """
-    value = os.environ.get("REPRO_COMPILE_TYPECHECK", "").strip()
-    if not value or value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ConfigurationError(
-        f"the REPRO_COMPILE_TYPECHECK environment variable must be "
-        f"'0' or '1' (got {value!r})"
-    )
 
 
 @dataclass(frozen=True)
@@ -116,9 +93,6 @@ class UDFSignature:
 class SemanticFacts:
     """What one clean static-analysis walk proved about a statement."""
 
-    #: ``id(expression node)`` in the *original* statement -> inferred type
-    #: (``None`` = unknown)
-    expression_types: dict[int, Optional[SQLType]] = field(default_factory=dict)
     #: bind-parameter slot index -> the type its comparison context implies
     parameter_types: dict[int, SQLType] = field(default_factory=dict)
     #: table name (lower) -> columns (lower) proven NOT NULL by the schema
@@ -315,7 +289,7 @@ class TypeChecker:
         self.udf_signatures = {
             name.lower(): signature for name, signature in (udf_signatures or {}).items()
         }
-        self.expression_types: dict[int, Optional[SQLType]] = {}
+        self._types: dict[int, Optional[SQLType]] = {}
         self.parameter_types: dict[int, SQLType] = {}
 
     # -- public API ----------------------------------------------------------
@@ -329,7 +303,6 @@ class TypeChecker:
         owners: dict[int, str] = {}
         self._collect_owners(rewritten, parents=(), owners=owners)
         return SemanticFacts(
-            expression_types=dict(self.expression_types),
             parameter_types=dict(self.parameter_types),
             proven_not_null=schema_proven_not_null(self.schema),
             column_owners=owners,
@@ -561,7 +534,7 @@ class TypeChecker:
 
     def _infer(self, expr: ast.Expression, frames: tuple) -> Optional[SQLType]:
         sql_type = self._infer_inner(expr, frames)
-        self.expression_types[id(expr)] = sql_type
+        self._types[id(expr)] = sql_type
         return sql_type
 
     def _infer_inner(self, expr: ast.Expression, frames: tuple) -> Optional[SQLType]:
@@ -593,7 +566,7 @@ class TypeChecker:
                         expr,
                     )
             self._note_parameter(expr.expr, self._common_type(
-                [self.expression_types.get(id(item)) for item in expr.items]
+                [self._types.get(id(item)) for item in expr.items]
             ))
             return SQLType.BOOLEAN
         if isinstance(expr, ast.InSubquery):
@@ -624,8 +597,8 @@ class TypeChecker:
                         expr,
                     )
             self._note_parameter(expr.expr, self._common_type(
-                [self.expression_types.get(id(expr.low)),
-                 self.expression_types.get(id(expr.high))]
+                [self._types.get(id(expr.low)),
+                 self._types.get(id(expr.high))]
             ))
             return SQLType.BOOLEAN
         if isinstance(expr, ast.Like):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from ..compile.typecheck import check_parameter_values
 from ..errors import MTSQLError, PrivilegeError
 from ..result import QueryResult, RowStream, StatementResult
 from ..sql import ast
@@ -187,7 +188,7 @@ class MTConnection:
             raise MTSQLError("query_stream() expects a SELECT statement")
         values = resolve_parameters(statement_parameters(statement), parameters)
         compiled = self.compile(statement)
-        self._check_bind_values(compiled, values)
+        check_parameter_values(compiled.facts.parameter_types, values)
         self.last_rewritten = [compiled.rewritten]
         return self.backend.execute_stream(
             compiled.rewritten,
@@ -318,9 +319,10 @@ class MTConnection:
         statistics_of = getattr(self.backend, "statistics", None)
         if statistics_of is None:
             return None
-        proven = compiled.facts.proven_not_null if compiled.facts is not None else None
         return estimate_select(
-            compiled.rewritten, statistics_of(), proven_not_null=proven
+            compiled.rewritten,
+            statistics_of(),
+            proven_not_null=compiled.facts.proven_not_null,
         )
 
     def _analyze_operators(
@@ -382,7 +384,7 @@ class MTConnection:
 
     def _execute_query(self, query: ast.Select, parameters: tuple = ()) -> QueryResult:
         compiled = self.compile(query)
-        self._check_bind_values(compiled, parameters)
+        check_parameter_values(compiled.facts.parameter_types, parameters)
         self.last_rewritten = [compiled.rewritten]
         # D' is routing metadata: a sharded backend prunes its fan-out to the
         # shards owning these tenants (single-database backends ignore it);
@@ -394,23 +396,6 @@ class MTConnection:
             parameters=parameters or None,
             compiled=compiled,
         )
-
-    @staticmethod
-    def _check_bind_values(compiled: "CompiledQuery", values: tuple) -> None:
-        """Check bind values against the analyzer's inferred slot types.
-
-        A mistyped value (say a string bound into a slot compared with an
-        INTEGER column) fails here with a
-        :class:`~repro.errors.TypeCheckError` naming the slot, instead of
-        surfacing as a coercion surprise deep in the engine.  No-op when the
-        typechecker was disabled (``compiled.facts is None``).
-        """
-        facts = compiled.facts
-        if facts is None or not values or not facts.parameter_types:
-            return
-        from ..compile.typecheck import check_parameter_values
-
-        check_parameter_values(facts.parameter_types, tuple(values))
 
     def prune_dataset(
         self,

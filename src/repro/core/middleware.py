@@ -301,8 +301,8 @@ class MTBase:
         routed = self.backend if backend is None else as_backend_connection(backend)
         return MTConnection(self, ttid, level, backend=routed)
 
-    def gateway(self, cache_size: int = 256, max_workers: Optional[int] = None):
+    def gateway(self, cache_size: int = 256):
         """Open a :class:`repro.gateway.QueryGateway` serving layer over this instance."""
         from ..gateway import QueryGateway  # local import: gateway depends on core
 
-        return QueryGateway(self, cache_size=cache_size, max_workers=max_workers)
+        return QueryGateway(self, cache_size=cache_size)

@@ -2,8 +2,8 @@
 
 The serving layer on top of the paper's middleware (Figure 4): statement
 fingerprinting, a rewrite cache with LRU eviction and metadata-driven
-invalidation, per-tenant sessions with a prepared-statement API, and a
-thread-pool executor for concurrent tenant traffic.
+invalidation, and per-tenant sessions with a prepared-statement API that
+different threads may drive concurrently.
 
 Typical use::
 
@@ -18,11 +18,9 @@ Typical use::
 """
 
 from .cache import CacheKey, CachedPlan, CacheStats, RewriteCache, StatementInfo
-from .executor import ConcurrentExecutor, ExecutionReport, SessionBatch, StatementOutcome
 from .fingerprint import Fingerprint, fingerprint_statement
 from .gateway import QueryGateway
 from .metrics import (
-    LatencyRecorder,
     LatencySummary,
     LoadGauge,
     LoadSnapshot,
@@ -36,10 +34,6 @@ __all__ = [
     "GatewaySession",
     "PreparedStatement",
     "SessionStats",
-    "ConcurrentExecutor",
-    "ExecutionReport",
-    "SessionBatch",
-    "StatementOutcome",
     "RewriteCache",
     "CacheKey",
     "CachedPlan",
@@ -47,7 +41,6 @@ __all__ = [
     "StatementInfo",
     "Fingerprint",
     "fingerprint_statement",
-    "LatencyRecorder",
     "LatencySummary",
     "LoadGauge",
     "LoadSnapshot",

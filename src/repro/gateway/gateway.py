@@ -1,12 +1,11 @@
 """The query gateway: caching, concurrent serving in front of MTBase.
 
-:class:`QueryGateway` is the traffic-facing entry point the ROADMAP's
-"millions of users" north star asks for.  It owns
+:class:`QueryGateway` is the traffic-facing entry point: the network tier
+(:mod:`repro.server`) and the DB-API driver serve through it.  It owns
 
 * one shared :class:`~repro.gateway.cache.RewriteCache` (statement info +
   rewritten plans) for all sessions,
-* the per-tenant :class:`~repro.gateway.session.GatewaySession` objects,
-* a :class:`~repro.gateway.executor.ConcurrentExecutor` for batch traffic.
+* the per-tenant :class:`~repro.gateway.session.GatewaySession` objects.
 
 The gateway subscribes to the middleware's metadata-change signal, so any
 DDL, GRANT/REVOKE, tenant registration or conversion-pair registration
@@ -16,12 +15,11 @@ flushes the cache before the next statement can observe a stale rewrite.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..core.middleware import MTBase
 from ..core.optimizer.levels import OptimizationLevel
 from .cache import CacheStats, RewriteCache
-from .executor import ConcurrentExecutor, ExecutionReport, SessionBatch
 from .session import GatewaySession
 
 
@@ -32,14 +30,12 @@ class QueryGateway:
         self,
         middleware: MTBase,
         cache_size: int = 256,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.middleware = middleware
         self.cache = RewriteCache(
             capacity=cache_size,
             version_source=lambda: middleware.metadata_version,
         )
-        self.executor = ConcurrentExecutor(max_workers=max_workers)
         self._sessions: list[GatewaySession] = []
         self._next_session_id = 1
         self._lock = threading.Lock()
@@ -83,12 +79,6 @@ class QueryGateway:
         with self._lock:
             if session in self._sessions:
                 self._sessions.remove(session)
-
-    # -- batch execution ----------------------------------------------------------
-
-    def run_concurrent(self, batches: Sequence[SessionBatch]) -> ExecutionReport:
-        """Dispatch per-session statement batches over the thread pool."""
-        return self.executor.run(batches)
 
     # -- cache maintenance ---------------------------------------------------------
 

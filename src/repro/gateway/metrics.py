@@ -1,14 +1,12 @@
 """Latency/throughput and load accounting for the serving layers.
 
-A :class:`LatencyRecorder` collects per-statement wall-clock durations from
-many worker threads; :func:`summarize` condenses them into the aggregate the
-reports print (mean / p50 / p95 / p99 / max and total statement count).
+:func:`summarize` condenses a sample of per-statement wall-clock durations
+into the aggregate the reports print (mean / p50 / p95 / p99 / max and total
+statement count).
 
 A :class:`LoadGauge` tracks *instantaneous* load — requests in flight and
-requests queued, with their peaks — so the thread-pool
-:class:`~repro.gateway.executor.ConcurrentExecutor` and the network tier's
-admission controller (:mod:`repro.server.admission`) report comparable
-numbers: the same gauge type backs both.
+requests queued, with their peaks — for the network tier's admission
+controller (:mod:`repro.server.admission`).
 """
 
 from __future__ import annotations
@@ -91,9 +89,8 @@ class LoadGauge:
     """Thread-safe in-flight/queue-depth gauge with peak tracking.
 
     ``enqueue``/``dequeue`` bracket the time a request waits for capacity;
-    ``enter``/``exit`` bracket its actual execution.  Both the thread-pool
-    executor and the asyncio server's admission controller update one of
-    these per request, which is what makes their load numbers comparable.
+    ``enter``/``exit`` bracket its actual execution.  The asyncio server's
+    admission controller updates one of these per request.
     """
 
     def __init__(self) -> None:
@@ -135,30 +132,3 @@ class LoadGauge:
                 peak_queued=self._peak_queued,
             )
 
-
-class LatencyRecorder:
-    """Thread-safe collector of per-statement latencies."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._latencies: list[float] = []
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies.append(seconds)
-
-    def extend(self, seconds: list[float]) -> None:
-        with self._lock:
-            self._latencies.extend(seconds)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return len(self._latencies)
-
-    def values(self) -> list[float]:
-        with self._lock:
-            return list(self._latencies)
-
-    def summary(self) -> LatencySummary:
-        return summarize(self.values())

@@ -28,7 +28,8 @@ metadata-change signal, which flushes the cache.
 
 Each session serializes its own statements with a lock (the paper's client
 connections are single-threaded too); *different* sessions execute
-concurrently — see :mod:`repro.gateway.executor`.
+concurrently — the server's worker pool (:mod:`repro.server`) runs each
+in-flight request on one of its threads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
+from ..compile.typecheck import check_parameter_values
 from ..errors import InvalidStatementError, LexerError, MTSQLError
 from ..result import QueryResult, RowStream
 from ..sql import ast
@@ -278,6 +280,7 @@ class GatewaySession:
             self.stats.cache_misses += 1
         else:
             self.stats.cache_hits += 1
+        check_parameter_values(plan.compiled.facts.parameter_types, parameters)
         self.stats.executed += 1
         connection.last_rewritten = [plan.rewritten]
         # pass D', the bind values and the compiled artifact along: a sharded

@@ -16,9 +16,8 @@ slot pinned until the cursor is exhausted or closed, so one slow consumer
 throttles *its own tenant* (further statements shed) instead of stalling the
 event loop or other tenants — that is the backpressure story.
 
-Load is tracked with the same :class:`~repro.gateway.metrics.LoadGauge` the
-thread-pool :class:`~repro.gateway.executor.ConcurrentExecutor` uses, so the
-two serving tiers report comparable in-flight/queue-depth numbers.
+Load is tracked with a :class:`~repro.gateway.metrics.LoadGauge`: current and
+peak in-flight and queued requests.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ fragment — including ambiguous references naming every candidate binding
 and the same exception class arriving across the server wire.
 
 The positive corpus is the paper's own workload: all 22 MT-H queries,
-both scenarios, must pass the checker with zero diagnostics and return
-exactly the rows a typecheck-disabled compile returns.
+both scenarios, must pass the checker with zero diagnostics.  Mistyped bind
+values fail with the same error on every execution entry point: the direct
+connection, gateway sessions and DB-API gateway cursors, on every backend.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ def mt():
         "CREATE FUNCTION taxed (DECIMAL(15,2), INTEGER) RETURNS DECIMAL(15,2) AS "
         "'SELECT $1 * $2' LANGUAGE SQL IMMUTABLE"
     )
-    # pin the checker on explicitly: this suite tests the analyzer itself,
-    # so it must hold even on the CI leg that exports the env knob as 0
-    instance.compiler.typecheck = True
     return instance
 
 
@@ -53,9 +51,7 @@ def conn(mt):
 
 @pytest.fixture(scope="module", params=SCENARIOS)
 def mth(request, tiny_tpch_data):
-    instance = load_mth(data=tiny_tpch_data, tenants=4, distribution=request.param)
-    instance.middleware.compiler.typecheck = True  # immune to the env knob
-    return instance
+    return load_mth(data=tiny_tpch_data, tenants=4, distribution=request.param)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +216,57 @@ def test_mistyped_bind_value_rejected_at_execute(conn):
     assert "parameter 1 expects DECIMAL, got VARCHAR" in str(excinfo.value)
 
 
+#: the running example's integer slot, probed with a string bind value
+BIND_PROBE = "SELECT E_name FROM Employees WHERE E_age < ?"
+
+
+@pytest.fixture(scope="module", params=["engine", "sqlite", "sharded:2"])
+def gateway(request):
+    """The running example on each backend family, behind a gateway."""
+    instance = build_paper_example(backend=request.param)
+    gateway = instance.gateway()
+    yield gateway
+    gateway.close()
+    instance.backend.close()
+
+
+def _session_rows(gateway, parameters, stream):
+    session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
+    try:
+        if stream:
+            return list(session.execute_stream(BIND_PROBE, parameters=parameters))
+        return session.execute(BIND_PROBE, parameters=parameters).rows
+    finally:
+        session.close()
+
+
+def _cursor_rows(gateway, parameters):
+    with api.connect(gateway, client=0, optimization="o4", scope="IN (0, 1)") as cached:
+        cursor = cached.cursor()
+        cursor.execute(BIND_PROBE, parameters)
+        return cursor.fetchall()
+
+
+GATEWAY_ENTRIES = {
+    "execute": lambda gateway, values: _session_rows(gateway, values, stream=False),
+    "execute_stream": lambda gateway, values: _session_rows(gateway, values, stream=True),
+    "dbapi-cursor": _cursor_rows,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATEWAY_ENTRIES))
+def test_gateway_rejects_mistyped_bind_value(gateway, entry):
+    """Gateway entry points check bind values as the direct connection does,
+    before the backend runs: unchecked, SQLite coerces the string and
+    returns every row, the engine fails later with a runtime type error."""
+    run = GATEWAY_ENTRIES[entry]
+    assert len(run(gateway, (40,))) == 3  # sanity: the slot works
+    with pytest.raises(TypeCheckError) as excinfo:
+        run(gateway, ("abc",))
+    assert excinfo.value.fragment == "?1"
+    assert "parameter 1 expects INTEGER, got VARCHAR" in str(excinfo.value)
+
+
 def test_typecheck_error_travels_the_wire_as_itself(mt):
     assert WIRE_CODES["TYPECHECK"] is TypeCheckError
     with serve(mt) as live:
@@ -240,25 +287,11 @@ def test_typecheck_error_travels_the_wire_as_itself(mt):
 
 @pytest.mark.parametrize("query_id", ALL_QUERY_IDS)
 def test_all_mth_queries_typecheck_clean(mth, query_id):
-    """Every MT-H query passes the checker and returns the same rows as a
-    typecheck-disabled compile (the checker gates, it never changes results)."""
-    text = query_text(query_id)
-
-    def run():
-        connection = mth.middleware.connect(1, optimization="o4")
-        connection.set_scope("IN (1, 3)")
-        return connection.query(text)
-
-    checked = run()
-    compiler = mth.middleware.compiler
-    assert compiler.typecheck  # enabled by default
-    compiler.typecheck = False
-    try:
-        unchecked = run()
-    finally:
-        compiler.typecheck = True
-    assert checked.columns == unchecked.columns
-    assert checked.rows == unchecked.rows
+    """Every MT-H query passes the checker and executes."""
+    connection = mth.middleware.connect(1, optimization="o4")
+    connection.set_scope("IN (1, 3)")
+    result = connection.query(query_text(query_id))
+    assert result.columns
 
 
 def test_facts_on_the_artifact(mth):
@@ -270,7 +303,6 @@ def test_facts_on_the_artifact(mth):
         "WHERE l_quantity < ?1 GROUP BY l_returnflag"
     )
     facts = compiled.facts
-    assert facts is not None
     # the slot type comes from the comparison context
     assert facts.parameter_types[1] is SQLType.DECIMAL
     # schema-proven NOT NULL sets, keyed by base-table name, ttid included
@@ -278,16 +310,4 @@ def test_facts_on_the_artifact(mth):
     assert "l_quantity" in lineitem and "l_ttid" in lineitem
     # the rewritten statement's column-provenance map is populated
     assert facts.column_owners
-    assert facts.expression_types
 
-
-def test_disabled_checker_produces_no_facts(mth):
-    connection = mth.middleware.connect(1, optimization="o4")
-    connection.set_scope("IN (1, 3)")
-    compiler = mth.middleware.compiler
-    compiler.typecheck = False
-    try:
-        compiled = connection.compile("SELECT COUNT(*) FROM lineitem")
-    finally:
-        compiler.typecheck = True
-    assert compiled.facts is None

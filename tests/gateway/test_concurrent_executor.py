@@ -1,10 +1,10 @@
-"""Concurrent executor: multi-threaded smoke tests and metrics sanity."""
+"""Concurrent gateway sessions: multi-threaded safety tests on plain threads."""
 
 import threading
 
 import pytest
 
-from repro.gateway import ConcurrentExecutor, QueryGateway
+from repro.gateway import QueryGateway
 
 from tests.conftest import build_paper_example
 
@@ -30,51 +30,47 @@ def expected_rows(mt, client, sql):
     return connection.query(sql).rows
 
 
+def run_threads(work, count):
+    """Run ``work(index)`` on ``count`` threads; return what the threads raised."""
+    failures = []
+
+    def guarded(index):
+        try:
+            work(index)
+        except Exception as exc:  # pragma: no cover - only on failure
+            failures.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return failures
+
+
 def test_concurrent_sessions_return_correct_results(mt):
     gateway = mt.gateway(cache_size=64)
     statements = [SQL_BY_NAME, SQL_TOTALS, SQL_JOIN] * 4
-    batches = [
-        (gateway.session(client, optimization="o4", scope="IN (0, 1)"), statements)
+    sessions = [
+        gateway.session(client, optimization="o4", scope="IN (0, 1)")
         for client in (0, 1, 0, 1)
     ]
-    report = gateway.run_concurrent(batches)
+    results = {index: [] for index in range(len(sessions))}
 
-    assert report.statements == len(batches) * len(statements)
-    assert report.errors == []
-    assert report.elapsed > 0
-    assert report.throughput > 0
-    assert report.latency.count == report.statements
-    for session, _ in batches:
-        outcomes = report.outcomes_for(session)
-        # per-session order is preserved
-        assert [outcome.statement for outcome in outcomes] == statements
-        for outcome, sql in zip(outcomes, statements):
-            assert outcome.result.rows == expected_rows(mt, session.client, sql)
+    def drive(index):
+        for sql in statements:
+            results[index].append(sessions[index].query(sql).rows)
+
+    assert run_threads(drive, len(sessions)) == []
+    for index, session in enumerate(sessions):
+        assert results[index] == [expected_rows(mt, session.client, sql) for sql in statements]
     # 6 distinct (digest, client, D', level) plans; same-key sessions racing the
     # first rewrite can each record a miss, so the floor is exact, the count not
     stats = gateway.cache_stats
     assert stats.misses >= 6
-    assert stats.hits + stats.misses == report.statements
+    assert stats.hits + stats.misses == len(sessions) * len(statements)
     assert len(gateway.cache) == 6
     gateway.close()
-
-
-def test_errors_are_captured_per_statement_not_raised(mt):
-    gateway = mt.gateway()
-    good = gateway.session(0, optimization="o4", scope="IN (0, 1)")
-    batches = [(good, [SQL_BY_NAME, "SELECT nonsense_column FROM Employees", SQL_BY_NAME])]
-    report = gateway.run_concurrent(batches)
-    assert report.statements == 3
-    assert len(report.errors) == 1
-    assert report.outcomes[0].ok and report.outcomes[2].ok
-    assert report.outcomes[1].error is not None
-    gateway.close()
-
-
-def test_empty_run_is_a_noop(mt):
-    report = ConcurrentExecutor().run([])
-    assert report.statements == 0
-    assert report.throughput == 0.0
 
 
 def test_one_session_shared_by_many_threads_is_serialized(mt):
@@ -82,41 +78,31 @@ def test_one_session_shared_by_many_threads_is_serialized(mt):
     gateway = mt.gateway()
     session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
     reference = expected_rows(mt, 0, SQL_BY_NAME)
-    failures = []
 
-    def hammer():
-        try:
-            for _ in range(5):
-                assert session.query(SQL_BY_NAME).rows == reference
-        except Exception as exc:  # pragma: no cover - only on failure
-            failures.append(exc)
+    def hammer(_index):
+        for _ in range(5):
+            assert session.query(SQL_BY_NAME).rows == reference
 
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert failures == []
+    assert run_threads(hammer, 8) == []
     assert session.stats.executed == 40
     gateway.close()
 
 
 def test_concurrent_dml_loses_no_writes(mt):
-    """The engine's write lock: racing INSERT/UPDATE batches must all land."""
+    """The engine's write lock: racing INSERT batches must all land."""
     gateway = mt.gateway()
     writers = 6
     per_writer = 5
-    batches = []
-    for worker in range(writers):
-        session = gateway.session(0, optimization="o4")  # default scope: own rows
-        statements = [
-            f"INSERT INTO Employees VALUES ({100 + worker * per_writer + i}, "
-            f"'W{worker}_{i}', 0, 1, 1000, 30)"
-            for i in range(per_writer)
-        ]
-        batches.append((session, statements))
-    report = gateway.run_concurrent(batches)
-    assert report.errors == []
+    sessions = [gateway.session(0, optimization="o4") for _ in range(writers)]
+
+    def write(worker):
+        for i in range(per_writer):
+            sessions[worker].execute(
+                f"INSERT INTO Employees VALUES ({100 + worker * per_writer + i}, "
+                f"'W{worker}_{i}', 0, 1, 1000, 30)"
+            )
+
+    assert run_threads(write, writers) == []
     count = mt.connect(0).query("SELECT COUNT(*) AS n FROM Employees").rows[0][0]
     assert count == 3 + writers * per_writer  # 3 seed rows for tenant 0
     gateway.close()
@@ -129,25 +115,6 @@ def test_gateway_context_manager_detaches_listener(mt):
         assert len(gateway.cache) == 1
     mt.execute_ddl("CREATE TABLE Scratch GLOBAL (S_id INTEGER NOT NULL)")
     assert gateway.cache_stats.invalidations == 0
-
-
-def test_report_tracks_load_and_tail_latency(mt):
-    """The run report carries the load gauge and the p99 tail percentile."""
-    gateway = mt.gateway()
-    batches = [
-        (gateway.session(client, optimization="o4", scope="IN (0, 1)"),
-         [SQL_BY_NAME] * 3)
-        for client in (0, 1, 0, 1)
-    ]
-    report = gateway.run_concurrent(batches)
-    assert report.load.peak_in_flight >= 1
-    assert report.load.in_flight == 0 and report.load.queued == 0  # run drained
-    assert report.load.peak_queued >= 0
-    assert report.latency.p99 >= report.latency.p95 >= report.latency.p50
-    described = report.describe()
-    assert "in-flight" in described and "queued" in described
-    assert "p99" in described
-    gateway.close()
 
 
 def test_load_gauge_counts_and_peaks():

@@ -137,9 +137,9 @@ def test_envknobs_accepts_strict_documented_parser(local_paths):
         import os
 
         def enabled():
-            if "REPRO_COMPILE_TYPECHECK" in os.environ:  # membership probe: exempt
+            if "REPRO_COMPILE_COST" in os.environ:  # membership probe: exempt
                 pass
-            value = os.environ.get("REPRO_COMPILE_TYPECHECK", "").strip()
+            value = os.environ.get("REPRO_COMPILE_COST", "").strip()
             if value not in ("", "0", "1"):
                 raise ConfigurationError(value)
             return value != "0"
